@@ -1,6 +1,6 @@
 //! Depth-n-MM (paper §3.2, Table 1): the `O(n³)`-work, depth-`O(n)`
-//! recursive matrix multiplication of [17], converted to **limited access**
-//! with local copies as in the companion paper [13].
+//! recursive matrix multiplication of \[17\], converted to **limited access**
+//! with local copies as in the companion paper \[13\].
 //!
 //! Type 2 HBP with `c = 2` collections of `v = 4` parallel recursive
 //! subproblems of size `s(m) = m/4` each: round 1 computes

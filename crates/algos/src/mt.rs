@@ -1,6 +1,6 @@
 //! Matrix Transposition (MT) in the bit-interleaved layout (paper §3.2):
 //! a single BP computation with `f(r) = O(1)` and `L(r) = O(1)`, obtained by
-//! exposing the parallelism of the recursive transpose of [17].
+//! exposing the parallelism of the recursive transpose of \[17\].
 //!
 //! In-place on the BI array: `T([Q0 Q1; Q2 Q3]) = [T(Q0) T(Q2); T(Q1) T(Q3)]`
 //! — recurse into the diagonal quadrants and swap-transpose the

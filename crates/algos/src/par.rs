@@ -5,7 +5,7 @@
 //! [`pjoin`], which makes the functions **backend-generic**:
 //!
 //! * called from inside a native pool worker (see
-//!   [`hbp_sched::native::run_native`], selected by `HBP_BACKEND=native`
+//!   [`hbp_sched::native::NativePool`], selected by `HBP_BACKEND=native`
 //!   at the executor layer), joins fork onto the worker's deque and are
 //!   stolen by the pool's randomized work stealing — the practical
 //!   analogue of the paper's RWS baseline executing the same fork-join
@@ -665,7 +665,7 @@ fn spms_sort_chunks(data: &mut [(u64, u64)], q: usize, arena: &mut [(u64, u64)],
 ///    interior — the false-sharing story of the paper, for real.
 ///
 /// One arena allocation funds every merge round, the sequential leaf
-/// sorts, and the whole recursion ([`arena_len`]) — the hot path
+/// sorts, and the whole recursion (`arena_len`) — the hot path
 /// allocates O(1) buffers per super-cutoff level instead of O(√n) per
 /// bucket, which `tests/alloc_accounting.rs` pins.
 ///

@@ -26,13 +26,13 @@ fn native_locality() {
     let m = hbp_core::metrics::global();
     m.set_enabled(true);
     let ex = NativeExecutor::from_config(&Config::from_env(), 0);
-    let (map, two_level) = ex.domains.resolve(ex.workers);
+    let (map, two_level) = ex.pool.domains.resolve(ex.pool.workers);
     println!(
         "F10 (native): steal locality under domains={} two_level={} workers={} policy={}\n",
         map.domains(),
         two_level,
-        ex.workers,
-        hbp_core::sched::policy::native_facet(ex.policy).name(),
+        ex.pool.workers,
+        hbp_core::sched::policy::native_facet(ex.pool.policy).name(),
     );
     println!(
         "{:<20} {:>8} {:>8} {:>8} {:>8} {:>12}",

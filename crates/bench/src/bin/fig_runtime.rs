@@ -68,7 +68,7 @@ fn native_main() {
     let linear = hbp_bench::fig_size(1 << 18);
     let side = hbp_bench::matrix_side_for(linear);
     let base = NativeExecutor::from_config(&Config::from_env(), 0);
-    let max_workers = base.workers;
+    let max_workers = base.pool.workers;
     let mut sweep: Vec<usize> = [1usize, 2, 4, 8, 16]
         .into_iter()
         .filter(|&w| w < max_workers)
@@ -92,7 +92,8 @@ fn native_main() {
         };
         let job = ExecJob::new(spec.name, n, 42);
         for &w in &sweep {
-            let ex = NativeExecutor { workers: w, ..base };
+            let mut ex = base;
+            ex.pool.workers = w;
             let Some(r) = ex.execute(&job) else {
                 continue; // no native kernel for this row
             };

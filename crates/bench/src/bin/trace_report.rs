@@ -13,9 +13,9 @@
 //! * `HBP_BACKEND=sim|native` picks the backend (sim default);
 //!   `HBP_WORKERS` sizes the native pool; `HBP_POLICY=pws|rws[:seed]|bsp[:levels]`
 //!   picks the discipline **on either backend** (the native pool runs
-//!   the policy's `NativeStealPolicy` facet); `HBP_DEQUE=cl|mutex`
-//!   selects the native pool's deque implementation (lock-free
-//!   Chase-Lev default — compare the fork→steal latency histograms).
+//!   the policy's `NativeStealPolicy` facet); `HBP_STEAL_BATCH=1|off`
+//!   toggles batched stealing (compare the fork→steal latency
+//!   histograms).
 //! * `HBP_TRACE_OUT=<path>` additionally writes the Chrome-trace JSON
 //!   (open in `chrome://tracing` or <https://ui.perfetto.dev>). With
 //!   `HBP_METRICS=1` the export also carries registry counter tracks

@@ -13,7 +13,7 @@
 //!
 //! Downstream layers never read the environment themselves: the pure
 //! `parse` functions stay on their owning types (`Policy::parse`,
-//! `DequeKind::parse`, …), but the `std::env::var` calls live in this
+//! `StealBatch::parse`, …), but the `std::env::var` calls live in this
 //! module alone — a grep-enforced property (`HBP_*` reads outside this
 //! file fail CI), so adding a knob forces the loud-error aggregation and
 //! the README table to stay in sync.
@@ -23,7 +23,6 @@
 //! | `HBP_BACKEND` | [`Config::backend`] | `sim` |
 //! | `HBP_POLICY` | [`Config::policy`] | `pws` |
 //! | `HBP_WORKERS` | [`Config::workers`] | hardware threads (min 4) |
-//! | `HBP_DEQUE` | [`Config::deque`] | `chase-lev` |
 //! | `HBP_STEAL_BATCH` | [`Config::steal_batch`] | `policy` |
 //! | `HBP_DOMAINS` | [`Config::domains`] | `auto` |
 //! | `HBP_CROSS_DEPTH` | [`Config::cross_depth`] | `3` |
@@ -38,7 +37,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use hbp_sched::native::{DequeKind, NativeConfig, StealBatch};
+use hbp_sched::native::{NativeConfig, StealBatch};
 use hbp_sched::topology::parse_cross_depth;
 use hbp_sched::{CounterMode, DomainSpec, Policy};
 use hbp_trace::{ClockDomain, TraceSink};
@@ -124,8 +123,6 @@ pub struct Config {
     pub policy: Policy,
     /// Native worker threads / trace-sink width (`HBP_WORKERS`).
     pub workers: usize,
-    /// Per-worker deque implementation (`HBP_DEQUE`).
-    pub deque: DequeKind,
     /// Steal-batching mode (`HBP_STEAL_BATCH`).
     pub steal_batch: StealBatch,
     /// Cache-domain sharding (`HBP_DOMAINS`).
@@ -159,7 +156,6 @@ impl Default for Config {
             backend: Backend::Sim,
             policy: Policy::Pws,
             workers: native.workers,
-            deque: native.deque,
             steal_batch: native.batch,
             domains: native.domains,
             cross_depth: native.cross_depth,
@@ -176,7 +172,7 @@ impl Default for Config {
 
 impl Config {
     /// The defaults: sim backend, PWS, one worker per hardware thread
-    /// (min 4), Chase-Lev deques, no tracing, no metrics, no autoscale.
+    /// (min 4), no tracing, no metrics, no autoscale.
     pub fn new() -> Self {
         Self::default()
     }
@@ -198,12 +194,6 @@ impl Config {
     /// Set the native worker count (≥ 1).
     pub fn workers(mut self, w: usize) -> Self {
         self.workers = w;
-        self
-    }
-
-    /// Select the per-worker deque implementation.
-    pub fn deque(mut self, d: DequeKind) -> Self {
-        self.deque = d;
         self
     }
 
@@ -295,7 +285,11 @@ impl Config {
         set!(cfg.backend, Backend::parse(get("HBP_BACKEND").as_deref()));
         set!(cfg.policy, Policy::parse(get("HBP_POLICY").as_deref()));
         set!(cfg.workers, parse_workers(get("HBP_WORKERS").as_deref()));
-        set!(cfg.deque, DequeKind::parse(get("HBP_DEQUE").as_deref()));
+        if let Some(v) = get("HBP_DEQUE") {
+            errors.push(format!(
+                "HBP_DEQUE is no longer supported (got {v:?}): the Chase-Lev deque is the only deque"
+            ));
+        }
         set!(
             cfg.steal_batch,
             StealBatch::parse(get("HBP_STEAL_BATCH").as_deref())
@@ -371,7 +365,6 @@ impl Config {
             workers: self.workers,
             seed,
             policy: self.policy,
-            deque: self.deque,
             batch: self.steal_batch,
             counters: self.counters,
             domains: self.domains,
@@ -419,7 +412,6 @@ mod tests {
             .backend(Backend::Native)
             .policy(Policy::Rws { seed: 7 })
             .workers(3)
-            .deque(DequeKind::Mutex)
             .autoscale(1, 4)
             .metrics(true);
         assert_eq!(cfg.backend, Backend::Native);
@@ -482,6 +474,26 @@ mod tests {
         assert_eq!(ok.policy, Policy::Rws { seed: 9 });
         assert_eq!(ok.autoscale, Some((1, 4)));
         assert!(ok.metrics);
+    }
+
+    #[test]
+    fn removed_settings_are_reported_not_ignored() {
+        let vars = [
+            ("HBP_DEQUE", "mutex"),
+            ("HBP_STEAL_BATCH", "4"),
+            ("HBP_WORKERS", "zero"),
+        ];
+        let err = Config::from_lookup(|v| {
+            vars.iter()
+                .find(|(k, _)| *k == v)
+                .map(|(_, val)| val.to_string())
+        })
+        .expect_err("three invalid vars");
+        for var in ["HBP_DEQUE", "HBP_STEAL_BATCH", "HBP_WORKERS"] {
+            assert!(err.contains(var), "error must name {var}: {err}");
+        }
+        assert_eq!(err.matches("no longer supported").count(), 2, "{err}");
+        assert!(err.contains("3 problems"), "{err}");
     }
 
     #[test]

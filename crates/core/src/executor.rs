@@ -1,6 +1,6 @@
 //! Execution backends: one job description, two ways to run it.
 //!
-//! An [`ExecJob`] names an algorithm from the [`registry`](crate::registry)
+//! An [`ExecJob`] names an algorithm from the [`registry`](mod@crate::registry)
 //! plus a problem size and seed. An [`Executor`] turns it into an
 //! [`ExecReport`]:
 //!
@@ -32,9 +32,8 @@ use std::sync::Arc;
 use hbp_algos::{gen, par};
 use hbp_machine::MachineConfig;
 use hbp_model::{BuildConfig, Cx};
-use hbp_sched::native::{DequeKind, NativeConfig, NativePool, StealBatch};
+use hbp_sched::native::{NativeConfig, NativePool};
 use hbp_sched::{run, run_traced, ExecReport, Policy};
-use hbp_sched::{CounterMode, DomainSpec};
 use hbp_trace::{ClockDomain, Trace, TraceSink};
 
 use crate::registry::{bi_matrix, find, sort_input};
@@ -219,71 +218,29 @@ impl Executor for SimExecutor {
 /// region).
 #[derive(Debug, Clone, Copy)]
 pub struct NativeExecutor {
-    /// Number of worker threads.
-    pub workers: usize,
-    /// Victim-selection RNG seed (input seeds come from the job).
-    pub seed: u64,
-    /// Stealing discipline — the pool runs its native facet (victim
-    /// order, §5.3 admission, backoff). `HBP_POLICY` selects it via
-    /// [`crate::Config`].
-    pub policy: Policy,
-    /// Per-worker deque implementation (`HBP_DEQUE`: lock-free
-    /// Chase-Lev by default, the legacy mutex ring for A/B runs).
-    pub deque: DequeKind,
-    /// Idle-loop batch stealing (`HBP_STEAL_BATCH`: policy default cap
-    /// unless disabled with `0`/`off` or overridden with an explicit
-    /// cap ≥ 2).
-    pub batch: StealBatch,
-    /// Task-boundary counter sampling for traced jobs (`HBP_COUNTERS`:
-    /// real perf fds, the deterministic stub, or off — see
-    /// [`hbp_sched::perf`]).
-    pub counters: CounterMode,
-    /// Cache-domain sharding for two-level stealing (`HBP_DOMAINS`:
-    /// `auto` detects the LLC topology from sysfs, `<k>` simulates `k`
-    /// balanced domains, `tag:<k>` labels locality without changing
-    /// victim order).
-    pub domains: DomainSpec,
-    /// Fork-depth floor for cross-domain steal admission
-    /// (`HBP_CROSS_DEPTH`; only consulted when the pool resolves to
-    /// more than one domain).
-    pub cross_depth: u32,
-    /// Elastic worker band (`HBP_AUTOSCALE=min..max`; `None` = fixed
-    /// pool) — see `NativeConfig::autoscale`.
-    pub autoscale: Option<(usize, usize)>,
+    /// The pool's settings. `pool.seed` is the victim-selection RNG seed
+    /// (input seeds come from the job; one-shot runs mix the two).
+    pub pool: NativeConfig,
 }
 
 impl NativeExecutor {
-    /// A pool of `workers` threads with randomized stealing on
-    /// Chase-Lev deques — the pre-policy-plumbing configuration.
+    /// A pool of `workers` threads with randomized stealing and every
+    /// other setting at its [`NativeConfig::default`].
     pub fn new(workers: usize, seed: u64) -> Self {
         Self {
-            workers,
-            seed,
-            policy: Policy::Rws { seed: 0 },
-            deque: DequeKind::ChaseLev,
-            batch: StealBatch::Policy,
-            counters: CounterMode::Auto,
-            domains: DomainSpec::Auto,
-            cross_depth: hbp_sched::topology::DEFAULT_CROSS_DEPTH,
-            autoscale: None,
+            pool: NativeConfig {
+                workers,
+                seed,
+                ..NativeConfig::default()
+            },
         }
     }
 
     /// The native slice of a [`crate::Config`], with `seed` feeding the
-    /// victim-selection RNG streams — the replacement for the removed
-    /// per-variable env constructors (env parsing now lives in
-    /// [`crate::Config::from_env`] alone).
+    /// victim-selection RNG streams.
     pub fn from_config(cfg: &crate::Config, seed: u64) -> Self {
         Self {
-            workers: cfg.workers,
-            seed,
-            policy: cfg.policy,
-            deque: cfg.deque,
-            batch: cfg.steal_batch,
-            counters: cfg.counters,
-            domains: cfg.domains,
-            cross_depth: cfg.cross_depth,
-            autoscale: cfg.autoscale,
+            pool: cfg.native_config(seed),
         }
     }
 
@@ -292,15 +249,8 @@ impl NativeExecutor {
     /// one [`hbp_sched::native::NativePool`] across jobs).
     fn run_kernel(&self, job: &ExecJob, trace: Option<Arc<TraceSink>>) -> Option<ExecReport> {
         let cfg = NativeConfig {
-            workers: self.workers,
-            seed: self.seed ^ job.seed,
-            policy: self.policy,
-            deque: self.deque,
-            batch: self.batch,
-            counters: self.counters,
-            domains: self.domains,
-            cross_depth: self.cross_depth,
-            autoscale: self.autoscale,
+            seed: self.pool.seed ^ job.seed,
+            ..self.pool
         };
         let spec = find(&job.algo)?;
         let kernel = native_kernel(spec.name, job.n, job.seed)?;
@@ -396,7 +346,7 @@ impl Executor for NativeExecutor {
     }
 
     fn workers(&self) -> usize {
-        self.workers
+        self.pool.workers
     }
 
     fn clock_domain(&self) -> ClockDomain {

@@ -15,8 +15,7 @@
 //!
 //! Both backends share the API:
 //!
-//! * **native** — the session owns one
-//!   [`NativePool`](hbp_sched::native::NativePool): workers spawn at
+//! * **native** — the session owns one [`NativePool`]: workers spawn at
 //!   [`Executor::open`], successive submissions queue onto it, idle
 //!   workers park between jobs, and the pool shuts down when the
 //!   session drops. Inputs are generated on the *submitting* thread
@@ -88,20 +87,9 @@ impl ExecSession {
     }
 
     pub(crate) fn native(ex: &NativeExecutor) -> Self {
-        let cfg = hbp_sched::native::NativeConfig {
-            workers: ex.workers,
-            seed: ex.seed,
-            policy: ex.policy,
-            deque: ex.deque,
-            batch: ex.batch,
-            counters: ex.counters,
-            domains: ex.domains,
-            cross_depth: ex.cross_depth,
-            autoscale: ex.autoscale,
-        };
         Self {
             inner: Inner::Native {
-                pool: NativePool::new(cfg),
+                pool: NativePool::new(ex.pool),
             },
         }
     }

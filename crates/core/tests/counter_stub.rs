@@ -18,10 +18,9 @@ use hbp_core::sched::CounterMode;
 use hbp_core::trace::EventKind;
 
 fn stub_executor(workers: usize) -> NativeExecutor {
-    NativeExecutor {
-        counters: CounterMode::Stub,
-        ..NativeExecutor::new(workers, 7)
-    }
+    let mut ex = NativeExecutor::new(workers, 7);
+    ex.pool.counters = CounterMode::Stub;
+    ex
 }
 
 fn miss_totals(trace: &hbp_core::trace::Trace) -> Vec<(u64, u64, u64)> {
@@ -106,10 +105,8 @@ fn stub_native_trace_aligns_against_sim_cross_backend() {
 
 #[test]
 fn counters_off_means_no_miss_deltas() {
-    let ex = NativeExecutor {
-        counters: CounterMode::Off,
-        ..NativeExecutor::new(2, 7)
-    };
+    let mut ex = NativeExecutor::new(2, 7);
+    ex.pool.counters = CounterMode::Off;
     let sink = Arc::new(TraceSink::new(2, ClockDomain::WallNs));
     ex.execute_traced(&ExecJob::new("Scans (M-Sum)", 1 << 12, 3), &sink)
         .expect("M-Sum has a native kernel");

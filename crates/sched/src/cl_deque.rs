@@ -1,8 +1,7 @@
 //! A lock-free Chase–Lev work-stealing deque.
 //!
 //! This is the real realization of the Obs 4.1 deque discipline that
-//! [`crate::deque`] models in virtual time and the native backend's old
-//! mutex-guarded ring merely *ordered*: the owner pushes and pops at the
+//! [`crate::deque`] models in virtual time: the owner pushes and pops at the
 //! **bottom** without synchronization in the common case, thieves race on
 //! the **top** with a single compare-and-swap, and the one genuinely
 //! contended case — owner and thief meeting on the last element — is

@@ -18,7 +18,7 @@
 //!   word-granularity miss accounting;
 //! * [`policy`] — the [`StealPolicy`] trait and the paper's three
 //!   disciplines: [`policy::Pws`] (§4.1, §4.7 priority rounds),
-//!   [`policy::Rws`] (seeded randomized baseline of [13]), and
+//!   [`policy::Rws`] (seeded randomized baseline of \[13\]), and
 //!   [`policy::Bsp`] (§5.3 bulk-synchronous mapping);
 //! * [`clock`] — the event heap, virtual time, and sweep cadence;
 //! * [`deque`] — per-core task deques with Obs 4.1's push/pop/steal
@@ -33,9 +33,9 @@
 //!   array, CAS-on-steal, `SeqCst` fence on the last-element conflict,
 //!   retired-buffer reclamation) — the native realization of the Obs 4.1
 //!   discipline;
-//! * [`native`] — the real-threads backend: [`native::run_native`] runs a
-//!   closure on scoped `std::thread` workers over per-worker [`ClDeque`]s
-//!   (or the legacy mutex ring via [`DequeKind::Mutex`]), with victim
+//! * [`native`] — the real-threads backend: a [`native::NativePool`] runs
+//!   closures on persistent `std::thread` workers over per-worker
+//!   [`ClDeque`]s, with victim
 //!   selection, §5.3 steal admission, and idle backoff supplied by the
 //!   policies' native facets ([`policy::NativeStealPolicy`]), reporting
 //!   wall-clock makespan and per-worker busy/steal counters in the same
@@ -56,7 +56,7 @@
 //! (`hbp-trace`): [`run_traced`] / [`run_with_policy_traced`] hook the
 //! sim event loop (task begin/end, forks, join resumes, steals,
 //! stack-region attaches, per-segment cache-miss deltas in virtual
-//! time), and [`native::run_native_traced`] records the same vocabulary
+//! time), and [`native::NativePool::run_traced`] records the same vocabulary
 //! from the pool workers in wall-clock nanoseconds. Tracing is
 //! observational: reports are bit-identical with and without a sink
 //! attached.
@@ -82,7 +82,6 @@ pub use cl_deque::{ClDeque, Steal};
 pub use engine::{
     run, run_sequential, run_traced, run_with_policy, run_with_policy_traced, Policy,
 };
-pub use native::DequeKind;
 pub use perf::{CounterMode, CounterSource};
 pub use policy::{NativeStealPolicy, StealPolicy};
 pub use report::{ExcessReport, ExecReport, SeqReport};

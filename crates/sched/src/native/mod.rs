@@ -15,16 +15,14 @@
 //!   **Chase-Lev deque** — the owner pushes and pops at the *bottom*
 //!   without locks, thieves CAS the *top*, and the last-element conflict
 //!   is arbitrated by a `SeqCst` fence — the real realization of the
-//!   Obs 4.1 discipline the simulator models. The PR 2 mutex-guarded
-//!   ring survives behind [`DequeKind::Mutex`] (`HBP_DEQUE=mutex`) for
-//!   A/B comparison against the steal-latency histograms;
+//!   Obs 4.1 discipline the simulator models;
 //! * **policy** ([`crate::policy::NativeStealPolicy`]): victim probe
 //!   order, steal admission (the §5.3 fork-depth floor), and idle
 //!   backoff come from the same `Pws`/`Rws`/`Bsp` modules that drive
 //!   the simulator — [`NativeConfig::policy`] carries the
 //!   [`Policy`] enum, so `HBP_POLICY` selects the discipline on both
 //!   backends;
-//! * **worker loop** ([`runtime`]): [`join`] is the fork primitive — the
+//! * **worker loop** (`runtime`): [`join`] is the fork primitive — the
 //!   right branch is published on the owner's deque while the owner runs
 //!   the left branch; on return the owner pops it back (inline
 //!   execution) or, if a thief took it, steals *other* work while
@@ -34,7 +32,7 @@
 //!   and serves successive jobs through a submission queue — workers
 //!   park on a condvar between jobs, shutdown is explicit and
 //!   idempotent, and every job gets its own [`ExecReport`] (and
-//!   optionally its own trace sink). [`run_native`] is the one-shot
+//!   optionally its own trace sink). [`NativePool::run`] is the one-shot
 //!   convenience: spawn a pool, submit one job, wait, shut down.
 //!
 //! ## Report semantics
@@ -52,10 +50,10 @@
 //!
 //! ## Tracing
 //!
-//! [`run_native_traced`] and [`NativePool::submit_traced`] additionally
-//! record structured events (`hbp-trace`, [`ClockDomain::WallNs`]): task
-//! begin/end around every executed task (nested when a join-wait
-//! steals), forks, steal commits/failures. Each worker appends only to
+//! [`NativePool::run_traced`] and [`NativePool::submit_traced`]
+//! additionally record structured events (`hbp-trace`,
+//! [`ClockDomain::WallNs`]): task begin/end around every executed task
+//! (nested when a join-wait steals), forks, steal commits/failures. Each worker appends only to
 //! its own lock-free ring, so the cost per event is one
 //! `Instant::elapsed` plus three relaxed atomics; with tracing off the
 //! only overhead is one `Option` check per site. Timestamps are relative
@@ -66,24 +64,20 @@
 //! A panicking kernel closure does not poison the pool: every branch is
 //! executed under `catch_unwind`, the remaining workers drain, the pool
 //! stays serviceable for the next job, and the panic is re-raised from
-//! [`run_native`] / [`PoolHandle::wait`] as a `String` payload naming
+//! [`NativePool::run`] / [`PoolHandle::wait`] as a `String` payload naming
 //! the worker that panicked — `kernel panicked on worker W: message`.
 //! [`PoolHandle::outcome`] exposes the caught payload instead, for
 //! servers that must survive bad requests.
+//!
+//! [`ExecReport`]: crate::ExecReport
+//! [`ClockDomain::WallNs`]: hbp_trace::ClockDomain::WallNs
 
 mod job;
 pub mod pool;
 pub(crate) mod runtime;
 
-use std::sync::Arc;
-
-use hbp_trace::TraceSink;
-
 use crate::engine::Policy;
 use crate::perf::CounterMode;
-use crate::report::ExecReport;
-
-use runtime::CTX;
 
 pub use crate::topology::{DomainMap, DomainSpec};
 pub use pool::{JobOutcome, NativePool, PoolHandle, SubmitError};
@@ -101,40 +95,12 @@ mod batch_tests {
         for v in [Some("0"), Some("off")] {
             assert_eq!(StealBatch::parse(v), Ok(StealBatch::Off), "{v:?}");
         }
-        assert_eq!(StealBatch::parse(Some("4")), Ok(StealBatch::Cap(4)));
-        let err = StealBatch::parse(Some("nope")).unwrap_err();
-        assert!(
-            err.contains("HBP_STEAL_BATCH") && err.contains("nope"),
-            "{err}"
-        );
-    }
-}
-
-/// Which per-worker deque implementation the pool uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DequeKind {
-    /// The lock-free Chase-Lev array ([`crate::cl_deque`]) — default.
-    #[default]
-    ChaseLev,
-    /// The PR 2 mutex-guarded ring with Chase-Lev *ordering*, kept for
-    /// A/B comparison (on a loaded host the mutex shows up as fork→steal
-    /// latencies in the ≥2^16 ns histogram buckets).
-    Mutex,
-}
-
-impl DequeKind {
-    /// Parse an `HBP_DEQUE` value: `None` (unset), the empty string,
-    /// `cl` or `chase-lev` → [`DequeKind::ChaseLev`]; `mutex` →
-    /// [`DequeKind::Mutex`]; anything else is an error naming the
-    /// variable, the offending value, and the accepted ones.
-    pub fn parse(value: Option<&str>) -> Result<Self, String> {
-        match value {
-            None | Some("") | Some("cl") | Some("chase-lev") => Ok(DequeKind::ChaseLev),
-            Some("mutex") => Ok(DequeKind::Mutex),
-            Some(other) => Err(format!(
-                "HBP_DEQUE must be `cl`/`chase-lev` or `mutex`, got {other:?}"
-            )),
+        for v in ["nope", "4"] {
+            let err = StealBatch::parse(Some(v)).unwrap_err();
+            assert!(err.contains("HBP_STEAL_BATCH") && err.contains(v), "{err}");
         }
+        let err = StealBatch::parse(Some("4")).unwrap_err();
+        assert!(err.contains("no longer supported"), "{err}");
     }
 }
 
@@ -149,29 +115,26 @@ pub enum StealBatch {
     /// Batching off: every steal claims exactly one task (the pre-batch
     /// behavior, kept for A/B runs).
     Off,
-    /// Batching on with an explicit per-steal cap (≥ 2); the claiming
-    /// sequence still takes at most half the victim's observed queue.
-    Cap(usize),
 }
 
 impl StealBatch {
     /// Parse an `HBP_STEAL_BATCH` value: `None` (unset), the empty
     /// string, `1`, `on` or `policy` → [`StealBatch::Policy`]; `0` or
-    /// `off` → [`StealBatch::Off`]; an integer ≥ 2 →
-    /// [`StealBatch::Cap`]. (`1` means *enabled at the policy default*,
-    /// matching the CI A/B spelling `HBP_STEAL_BATCH=1|off` — a literal
-    /// cap of one is exactly what `off` provides.) Anything else is an
-    /// error naming the variable, the value, and the accepted ones.
+    /// `off` → [`StealBatch::Off`]. (`1` means *enabled at the policy
+    /// default*, matching the CI A/B spelling `HBP_STEAL_BATCH=1|off`.)
+    /// Any other number is a removed explicit cap and reports so;
+    /// anything else is an error naming the variable, the value, and the
+    /// accepted ones.
     pub fn parse(value: Option<&str>) -> Result<Self, String> {
         match value {
             None | Some("") | Some("1") | Some("on") | Some("policy") => Ok(StealBatch::Policy),
             Some("0") | Some("off") => Ok(StealBatch::Off),
-            Some(other) => match other.parse::<usize>() {
-                Ok(n) if n >= 2 => Ok(StealBatch::Cap(n)),
-                _ => Err(format!(
-                    "HBP_STEAL_BATCH must be `on`/`1`/`policy`, `off`/`0`, or a cap >= 2, got {other:?}"
-                )),
-            },
+            Some(n) if n.parse::<usize>().is_ok() => Err(format!(
+                "HBP_STEAL_BATCH={n} is no longer supported: the per-steal cap comes from the policy; use `on`/`1`/`policy` or `off`/`0`"
+            )),
+            Some(other) => Err(format!(
+                "HBP_STEAL_BATCH must be `on`/`1`/`policy` or `off`/`0`, got {other:?}"
+            )),
         }
     }
 
@@ -180,7 +143,6 @@ impl StealBatch {
         match self {
             StealBatch::Policy => policy.steal_batch_cap().max(1),
             StealBatch::Off => 1,
-            StealBatch::Cap(n) => n.max(2),
         }
     }
 }
@@ -196,8 +158,6 @@ pub struct NativeConfig {
     /// The stealing discipline's native facet (victim order, §5.3
     /// admission, backoff) — see [`crate::policy::native`].
     pub policy: Policy,
-    /// Per-worker deque implementation.
-    pub deque: DequeKind,
     /// Steal-batching mode (top-level idle-loop steals may claim several
     /// tasks per committed steal; see [`StealBatch`]).
     pub batch: StealBatch,
@@ -233,9 +193,8 @@ pub struct NativeConfig {
 
 impl Default for NativeConfig {
     /// One worker per hardware thread — but at least 4, so stealing
-    /// exists even on small hosts (the same default
-    /// `hbp_core::NativeExecutor::from_env` uses when `HBP_WORKERS` is
-    /// unset) — seed 0, randomized stealing, Chase-Lev deques.
+    /// exists even on small hosts (the same default `hbp_core::Config`
+    /// uses when `HBP_WORKERS` is unset) — seed 0, randomized stealing.
     fn default() -> Self {
         Self {
             workers: std::thread::available_parallelism()
@@ -244,7 +203,6 @@ impl Default for NativeConfig {
                 .max(4),
             seed: 0,
             policy: Policy::Rws { seed: 0 },
-            deque: DequeKind::ChaseLev,
             batch: StealBatch::Policy,
             counters: CounterMode::Auto,
             domains: DomainSpec::Auto,
@@ -264,81 +222,4 @@ impl NativeConfig {
             Policy::Pws | Policy::Bsp { .. } => self.seed,
         }
     }
-}
-
-/// One-shot execution on a throwaway pool: run `root` to completion and
-/// report.
-///
-/// `root` executes on worker 0; [`join`] calls inside it (directly or via
-/// `hbp_algos::par::pjoin`) fork onto the worker deques, and idle workers
-/// steal under the pool's policy facet. Returns the root's value plus the
-/// wall-clock [`ExecReport`] (see the module docs for the field
-/// semantics). Spawning threads per call is the whole cost — servers that
-/// launch many kernels keep one [`NativePool`] and
-/// [`NativePool::submit`] into it, or use the `hbp-core` session API.
-pub(crate) fn run_once<R, F>(
-    cfg: NativeConfig,
-    trace: Option<Arc<TraceSink>>,
-    root: F,
-) -> (R, ExecReport)
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    assert!(
-        CTX.get().is_none(),
-        "a one-shot native run cannot be nested inside a pool worker"
-    );
-    let pool = NativePool::new(cfg);
-    // The root borrows the caller's stack (non-'static), which is sound
-    // because we block on the job's completion before returning: the
-    // ScopedRoot outlives the job by construction.
-    let root_cell = pool::ScopedRoot::new(root);
-    let meta = unsafe {
-        pool.submit_scoped(
-            trace,
-            &root_cell as *const _ as *const (),
-            pool::ScopedRoot::<F, R>::exec,
-        )
-    }
-    .expect("fresh pool accepts a submission");
-    let done = meta.wait();
-    // SAFETY: the meta completed, so the driver wrote the result and no
-    // longer references the ScopedRoot.
-    let result = unsafe { root_cell.take_result() };
-    drop(pool); // joins the workers
-    match result {
-        Ok(v) => (v, done.report),
-        Err(payload) => pool::raise_job_panic(&done.panics, payload),
-    }
-}
-
-/// Run `root` on a fresh pool of `cfg.workers` threads and report.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `NativePool::run` (or the `hbp-core` session API) instead"
-)]
-pub fn run_native<R, F>(cfg: NativeConfig, root: F) -> (R, ExecReport)
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    NativePool::run(cfg, root)
-}
-
-/// [`run_native`] with optional structured-event recording.
-#[deprecated(
-    since = "0.10.0",
-    note = "use `NativePool::run_traced` (or the `hbp-core` session API) instead"
-)]
-pub fn run_native_traced<R, F>(
-    cfg: NativeConfig,
-    trace: Option<Arc<TraceSink>>,
-    root: F,
-) -> (R, ExecReport)
-where
-    F: FnOnce() -> R + Send,
-    R: Send,
-{
-    NativePool::run_traced(cfg, trace, root)
 }

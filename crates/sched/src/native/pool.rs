@@ -6,10 +6,9 @@
 //! *driver* — it drains a FIFO submission queue and executes each job's
 //! root closure — and workers `1..p` are *thieves* that park on a
 //! condvar between jobs and steal forked branches while a job runs.
-//! The Chase-Lev deques, [`NativeStealPolicy`] facets, and the
-//! `HBP_DEQUE` A/B all survive unchanged underneath: a job executes
-//! exactly as a `run_native` root did, it just no longer pays thread
-//! spawn/join per launch.
+//! The Chase-Lev deques and [`NativeStealPolicy`] facets run unchanged
+//! underneath: a job executes exactly as a one-shot root did, it just
+//! no longer pays thread spawn/join per launch.
 //!
 //! ## Job lifecycle
 //!
@@ -36,7 +35,7 @@
 //! [`NativePool::submit_traced`] attaches a per-job
 //! [`TraceSink`]: the driver swaps the pool's sink in the quiesced
 //! window between jobs (no thief holds a steal loop there — see the
-//! registration protocol in [`super::runtime::thief_main`]), so every
+//! registration protocol in `runtime::thief_main`), so every
 //! request can get its own isolated trace with per-job timestamps
 //! starting near zero.
 
@@ -95,7 +94,7 @@ pub(crate) enum RootRun {
     /// the handle's `Arc`ed slot).
     Boxed(Box<dyn FnOnce() + Send>),
     /// A lifetime-erased pointer to a [`ScopedRoot`] on the stack of a
-    /// blocked `run_native` caller (which outlives the job by waiting
+    /// blocked [`NativePool::run`] caller (which outlives the job by waiting
     /// on the meta before returning).
     Raw {
         data: *const (),
@@ -157,7 +156,7 @@ impl JobMeta {
 
 /// A borrowed root closure parked on a blocked caller's stack frame
 /// (the scoped-submission analogue of `StackJob` for forked branches).
-pub(crate) struct ScopedRoot<F, R> {
+struct ScopedRoot<F, R> {
     f: std::cell::UnsafeCell<Option<F>>,
     result: std::cell::UnsafeCell<Option<std::thread::Result<R>>>,
 }
@@ -171,7 +170,7 @@ where
     F: FnOnce() -> R + Send,
     R: Send,
 {
-    pub(crate) fn new(f: F) -> Self {
+    fn new(f: F) -> Self {
         Self {
             f: std::cell::UnsafeCell::new(Some(f)),
             result: std::cell::UnsafeCell::new(None),
@@ -179,7 +178,7 @@ where
     }
 
     /// SAFETY: called at most once, with `ptr` pointing to a live Self.
-    pub(crate) unsafe fn exec(ptr: *const ()) {
+    unsafe fn exec(ptr: *const ()) {
         let this = &*(ptr as *const Self);
         let f = (*this.f.get()).take().expect("scoped root executed twice");
         let r = panic::catch_unwind(AssertUnwindSafe(f));
@@ -190,7 +189,7 @@ where
     }
 
     /// SAFETY: only after the job's meta completed (result written).
-    pub(crate) unsafe fn take_result(&self) -> std::thread::Result<R> {
+    unsafe fn take_result(&self) -> std::thread::Result<R> {
         (*self.result.get())
             .take()
             .expect("scoped root result taken before execution")
@@ -259,10 +258,7 @@ impl<R> PoolHandle<R> {
 }
 
 /// Re-raise a job panic with worker attribution when available.
-pub(crate) fn raise_job_panic(
-    panics: &[(usize, String)],
-    payload: Box<dyn std::any::Any + Send>,
-) -> ! {
+fn raise_job_panic(panics: &[(usize, String)], payload: Box<dyn std::any::Any + Send>) -> ! {
     match panics.first() {
         Some((w, msg)) => panic!("kernel panicked on worker {w}: {msg}"),
         None => panic::resume_unwind(payload),
@@ -282,7 +278,7 @@ pub struct NativePool {
 
 impl NativePool {
     /// Spawn a pool of worker threads (one driver + thieves), with
-    /// `cfg`'s policy facet, deque kind, and RNG stream seed.
+    /// `cfg`'s policy facet and RNG stream seed.
     ///
     /// The pool's **capacity** is `cfg.workers`, raised to the autoscale
     /// ceiling when `cfg.autoscale` is set: every capacity slot gets its
@@ -317,7 +313,6 @@ impl NativePool {
             desired,
             cfg.stream_seed(),
             policy,
-            cfg.deque,
             batch_cap,
             cfg.counters,
             domains,
@@ -443,12 +438,12 @@ impl NativePool {
         Ok(PoolHandle { result, meta })
     }
 
-    /// Lifetime-erased submission for the blocking `run_native` path.
+    /// Lifetime-erased submission for the blocking [`NativePool::run`] path.
     ///
     /// SAFETY: `data`/`exec` must target a live [`ScopedRoot`] whose
     /// borrows stay valid until the returned meta completes — the
     /// caller must wait on it before returning.
-    pub(crate) unsafe fn submit_scoped(
+    unsafe fn submit_scoped(
         &self,
         trace: Option<Arc<TraceSink>>,
         data: *const (),
@@ -502,19 +497,26 @@ impl NativePool {
         Ok(meta)
     }
 
-    /// Run `root` on a fresh one-job pool and report — the session-API
-    /// replacement for the deprecated free function `run_native`.
+    /// Run `root` on a fresh one-job pool and report.
+    ///
+    /// `root` executes on worker 0; [`join`](super::join) calls inside it
+    /// (directly or via `hbp_algos::par::pjoin`) fork onto the worker
+    /// deques, and idle workers steal under the pool's policy facet.
+    /// Returns the root's value plus the wall-clock [`ExecReport`] (see
+    /// the module docs for the field semantics). Spawning threads per
+    /// call is the whole cost — servers that launch many kernels keep one
+    /// [`NativePool`] and [`NativePool::submit`] into it, or use the
+    /// `hbp-core` session API.
     pub fn run<R, F>(cfg: NativeConfig, root: F) -> (R, ExecReport)
     where
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        super::run_once(cfg, None, root)
+        Self::run_traced(cfg, None, root)
     }
 
-    /// [`NativePool::run`] with optional structured-event recording
-    /// (the replacement for the deprecated `run_native_traced`). When
-    /// `trace` is `Some`, the sink must be in [`ClockDomain::WallNs`]
+    /// [`NativePool::run`] with optional structured-event recording.
+    /// When `trace` is `Some`, the sink must be in [`ClockDomain::WallNs`]
     /// and sized for at least the pool's capacity; collect it after
     /// this returns.
     pub fn run_traced<R, F>(
@@ -526,7 +528,32 @@ impl NativePool {
         F: FnOnce() -> R + Send,
         R: Send,
     {
-        super::run_once(cfg, trace, root)
+        assert!(
+            CTX.get().is_none(),
+            "a one-shot native run cannot be nested inside a pool worker"
+        );
+        let pool = NativePool::new(cfg);
+        let root_cell = ScopedRoot::new(root);
+        // SAFETY: the root borrows the caller's stack (non-'static), which
+        // is sound because we block on the job's completion before
+        // returning: the ScopedRoot outlives the job by construction.
+        let meta = unsafe {
+            pool.submit_scoped(
+                trace,
+                &root_cell as *const _ as *const (),
+                ScopedRoot::<F, R>::exec,
+            )
+        }
+        .expect("fresh pool accepts a submission");
+        let done = meta.wait();
+        // SAFETY: the meta completed, so the driver wrote the result and no
+        // longer references the ScopedRoot.
+        let result = unsafe { root_cell.take_result() };
+        drop(pool); // joins the workers
+        match result {
+            Ok(v) => (v, done.report),
+            Err(payload) => raise_job_panic(&done.panics, payload),
+        }
     }
 
     /// Drain the queue (accepted jobs still run), reject new

@@ -29,111 +29,6 @@ use crate::topology::DomainMap;
 
 use super::job::{payload_message, JobRef, StackJob};
 use super::pool::Submission;
-use super::DequeKind;
-
-/// One worker's deque: the lock-free Chase-Lev array by default, or the
-/// PR 2 mutex-guarded ring kept for A/B comparison (`HBP_DEQUE=mutex`,
-/// `bench_diff`-able via the steal-latency histograms).
-pub(crate) enum WorkerDeque {
-    /// The lock-free Chase-Lev deque ([`crate::cl_deque`]).
-    ChaseLev(ClDeque<JobRef>),
-    /// Chase-Lev *ordering* (owner bottom-LIFO, thieves top-FIFO) behind
-    /// a mutex — the pre-tentpole implementation.
-    Mutex(Mutex<VecDeque<JobRef>>),
-}
-
-impl WorkerDeque {
-    pub(crate) fn new(kind: DequeKind) -> Self {
-        match kind {
-            DequeKind::ChaseLev => WorkerDeque::ChaseLev(ClDeque::default()),
-            DequeKind::Mutex => WorkerDeque::Mutex(Mutex::new(VecDeque::new())),
-        }
-    }
-
-    /// Owner: publish a branch at the bottom.
-    pub(crate) fn push_bottom(&self, j: JobRef) {
-        match self {
-            WorkerDeque::ChaseLev(d) => d.push(j),
-            WorkerDeque::Mutex(q) => q.lock().expect("deque poisoned").push_back(j),
-        }
-    }
-
-    /// Owner: reclaim the bottom branch.
-    pub(crate) fn pop_bottom(&self) -> Option<JobRef> {
-        match self {
-            WorkerDeque::ChaseLev(d) => d.pop(),
-            WorkerDeque::Mutex(q) => q.lock().expect("deque poisoned").pop_back(),
-        }
-    }
-
-    /// Thief: claim the top branch if the policy admits its fork depth.
-    pub(crate) fn steal_top(&self, admit: &dyn Fn(u32) -> bool) -> Steal<JobRef> {
-        match self {
-            WorkerDeque::ChaseLev(d) => d.steal_with(|j| admit(j.depth)),
-            WorkerDeque::Mutex(q) => {
-                let mut q = q.lock().expect("deque poisoned");
-                match q.front() {
-                    None => Steal::Empty,
-                    Some(j) if !admit(j.depth) => Steal::Denied,
-                    Some(_) => Steal::Data(q.pop_front().expect("front observed")),
-                }
-            }
-        }
-    }
-
-    /// Thief: claim up to `max` admitted branches from the top in one
-    /// claiming sequence, appending to `out` in deque order (the
-    /// Chase-Lev path is [`ClDeque::steal_batch_with`]; the mutex ring
-    /// takes the same ceil-half-bounded admitted prefix under its lock).
-    pub(crate) fn steal_top_batch(
-        &self,
-        max: usize,
-        admit: &dyn Fn(u32) -> bool,
-        out: &mut Vec<JobRef>,
-    ) -> Steal<usize> {
-        match self {
-            WorkerDeque::ChaseLev(d) => d.steal_batch_with(max, |j| admit(j.depth), out),
-            WorkerDeque::Mutex(q) => {
-                let mut q = q.lock().expect("deque poisoned");
-                if q.is_empty() {
-                    return Steal::Empty;
-                }
-                let want = q.len().div_ceil(2).min(max.max(1));
-                let mut taken = 0;
-                while taken < want {
-                    match q.front() {
-                        Some(j) if admit(j.depth) => {
-                            out.push(q.pop_front().expect("front observed"));
-                            taken += 1;
-                        }
-                        _ => break,
-                    }
-                }
-                if taken == 0 {
-                    Steal::Denied
-                } else {
-                    Steal::Data(taken)
-                }
-            }
-        }
-    }
-
-    /// Whether the deque currently looks empty (owner-side hint
-    /// maintenance; a racing thief may still be claiming the last
-    /// element, which only makes the published hint conservative).
-    pub(crate) fn looks_empty(&self) -> bool {
-        self.len_hint() == 0
-    }
-
-    /// Approximate current length (racy by nature; the queue-depth gauge
-    /// and the owner's hint maintenance both tolerate staleness).
-    pub(crate) fn len_hint(&self) -> usize {
-        match self {
-            WorkerDeque::ChaseLev(d) => d.len_hint(),
-            WorkerDeque::Mutex(q) => q.lock().expect("deque poisoned").len(),
-        }
-    }
-}
 
 /// Per-worker counters (each worker writes only its own; Relaxed is fine,
 /// aggregation happens after the scope joins).
@@ -206,7 +101,7 @@ pub(crate) struct Pool {
     /// `&Pool` borrows into these Vecs for the pool's lifetime, so
     /// growth only ever flips `desired`, never reallocates.
     pub(crate) desired: AtomicUsize,
-    pub(crate) deques: Vec<WorkerDeque>,
+    pub(crate) deques: Vec<ClDeque<JobRef>>,
     /// Shallowest fork depth published on each worker's deque
     /// (`u32::MAX` = looks empty). Owner-maintained on push/pop with
     /// relaxed atomics; thieves read it through
@@ -298,7 +193,6 @@ impl Pool {
         desired: usize,
         seed: u64,
         policy: Box<dyn NativeStealPolicy>,
-        deque: DequeKind,
         batch_cap: usize,
         counters_mode: CounterMode,
         domains: DomainMap,
@@ -318,7 +212,7 @@ impl Pool {
         };
         Self {
             desired: AtomicUsize::new(desired.clamp(1, workers)),
-            deques: (0..workers).map(|_| WorkerDeque::new(deque)).collect(),
+            deques: (0..workers).map(|_| ClDeque::default()).collect(),
             depth_hints: (0..workers).map(|_| AtomicU32::new(u32::MAX)).collect(),
             batch_cap: batch_cap.max(1),
             counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
@@ -376,7 +270,7 @@ impl Pool {
     /// what a §4.7-style thief wants to know about).
     pub(crate) fn push_bottom_hinted(&self, me: usize, j: JobRef) {
         self.depth_hints[me].fetch_min(j.depth, Ordering::Relaxed);
-        self.deques[me].push_bottom(j);
+        self.deques[me].push(j);
         if self.two_level {
             self.domain_wake(me);
         }
@@ -435,8 +329,8 @@ impl Pool {
     /// Owner: reclaim the bottom branch, clearing the hint when the
     /// deque drains (the one cheap moment the owner can tell).
     pub(crate) fn pop_bottom_hinted(&self, me: usize) -> Option<JobRef> {
-        let j = self.deques[me].pop_bottom();
-        if self.deques[me].looks_empty() {
+        let j = self.deques[me].pop();
+        if self.deques[me].len_hint() == 0 {
             self.depth_hints[me].store(u32::MAX, Ordering::Relaxed);
         }
         let m = hbp_metrics::global();
@@ -486,8 +380,8 @@ pub fn in_pool() -> bool {
 /// (no-op outside a pool worker).
 pub(crate) fn note_current_worker_panic(payload: &(dyn std::any::Any + Send)) {
     if let Some(ctx) = CTX.get() {
-        // SAFETY: CTX is only set while the pool is alive on
-        // run_native's stack.
+        // SAFETY: CTX is only set on a worker thread, which the pool
+        // joins before its shared state is dropped.
         unsafe { (*ctx.pool).note_panic(ctx.index, payload) };
     }
 }
@@ -527,15 +421,15 @@ fn steal_from_others(pool: &Pool, me: usize, max: usize, out: &mut Vec<JobRef>) 
         for &v in order.iter() {
             debug_assert_ne!(v, me, "policies must not plan self-probes");
             let cross = pool.two_level && pool.domains.domain_of(v) != my_dom;
-            let admit = |depth: u32| {
-                pool.policy.admit(depth)
-                    && (!cross || pool.policy.cross_admit(depth, pool.cross_depth))
+            let admit = |j: &JobRef| {
+                pool.policy.admit(j.depth)
+                    && (!cross || pool.policy.cross_admit(j.depth, pool.cross_depth))
             };
             loop {
                 let got = if max > 1 {
-                    pool.deques[v].steal_top_batch(max, &admit, out)
+                    pool.deques[v].steal_batch_with(max, admit, out)
                 } else {
-                    match pool.deques[v].steal_top(&admit) {
+                    match pool.deques[v].steal_with(admit) {
                         Steal::Data(j) => {
                             out.push(j);
                             Steal::Data(1)
@@ -628,8 +522,7 @@ pub(crate) fn emit_miss_delta(
 
 /// Fork-join on the native pool: runs `a` on the calling worker while `b`
 /// is available for stealing; returns both results. Outside a pool worker
-/// (no [`super::run_native`] scope on this thread) both closures simply
-/// run sequentially. Panics in either branch propagate to the caller,
+/// both closures simply run sequentially. Panics in either branch propagate to the caller,
 /// with the executing worker named in the payload (see the module docs).
 pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
 where
@@ -641,8 +534,8 @@ where
     let Some(ctx) = CTX.get() else {
         return (a(), b());
     };
-    // SAFETY: CTX is only set while the pool is alive on run_native's
-    // stack (workers are scope-joined before it returns).
+    // SAFETY: CTX is only set on a worker thread, which the pool joins
+    // before its shared state is dropped.
     let pool = unsafe { &*ctx.pool };
     let me = ctx.index;
 
@@ -910,7 +803,7 @@ pub(crate) fn thief_main(pool: &Pool, me: usize) {
             // claimable by nobody, so after a bounded grace we run the
             // leftovers ourselves rather than strand them.
             let mut spins = 0u32;
-            while !pool.done.load(Ordering::Acquire) && !pool.deques[me].looks_empty() {
+            while !pool.done.load(Ordering::Acquire) && pool.deques[me].len_hint() != 0 {
                 spins += 1;
                 if spins > RETIRE_DRAIN_SPINS {
                     while let Some(j) = pool.pop_bottom_hinted(me) {

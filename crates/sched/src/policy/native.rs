@@ -9,22 +9,22 @@
 //! the only cross-worker information is what a Chase-Lev top read
 //! provides. The paper's three disciplines keep their identities:
 //!
-//! * [`Rws`](super::Rws) — uniformly random victim rotation per scan
-//!   (the baseline of [13]; the per-worker xorshift streams make victim
+//! * [`Rws`] — uniformly random victim rotation per scan
+//!   (the baseline of \[13\]; the per-worker xorshift streams make victim
 //!   sequences reproducible for a fixed pool seed);
-//! * [`Pws`](super::Pws) — deterministic index-order probing (the §4.7
+//! * [`Pws`] — deterministic index-order probing (the §4.7
 //!   rank-matching analogue: thief `i` scans victims in a fixed rotation
 //!   starting at `i + 1`, so concurrent thieves fan out instead of
 //!   colliding). True global priority rounds need the sweep snapshot and
 //!   remain sim-only;
-//! * [`Bsp`](super::Bsp) — PWS probing plus the §5.3 admission floor:
+//! * [`Bsp`] — PWS probing plus the §5.3 admission floor:
 //!   only tasks from the top `prefix_levels` fork levels may be stolen,
 //!   using the branch's fork depth as the native proxy for task size
 //!   (each fork halves the subproblem, so depth `d` ≈ size
 //!   `root / 2^d`).
 //!
-//! [`native_facet`] maps the [`Policy`](crate::engine::Policy) enum —
-//! and therefore `HBP_POLICY` — onto these facets; `native::run_native`
+//! [`native_facet`] maps the [`Policy`] enum —
+//! and therefore `HBP_POLICY` — onto these facets; the native pool
 //! consumes the boxed trait object.
 
 use crate::engine::Policy;

@@ -1,13 +1,12 @@
 //! The discrete-event engine core.
 //!
 //! [`Engine`] owns the simulated machine state — per-core virtual clocks,
-//! the [`TaskDeques`](crate::deque::TaskDeques), the
-//! [`StackAllocator`](crate::stacks::StackAllocator), the
-//! [`EventQueue`](crate::clock::EventQueue), and the statistics — and
+//! the [`TaskDeques`], the [`StackAllocator`], the [`EventQueue`], and
+//! the statistics — and
 //! executes the recorded computation one chargeable action at a time.
 //!
 //! *Who* steals *what* during a sweep is delegated to a
-//! [`StealPolicy`](crate::policy::StealPolicy): the engine exposes the
+//! [`StealPolicy`]: the engine exposes the
 //! queries a policy needs (`head_pri`, `pending_pri`, …) and the two
 //! effects it may apply (`commit_steal`, `note_failed_round` /
 //! `note_failed_probe`); everything else — frame allocation, fork/join

@@ -97,9 +97,9 @@ pub struct ScenarioSpec {
     /// up to [`MAX_DEFERRALS`] times) instead of hard-rejecting it
     /// outright. Open-loop arrivals are pre-scheduled and never pace.
     pub pacing: bool,
-    /// Native pool tuning (deque kind, steal batching, domains,
-    /// autoscale band, …). `workers`/`seed`/`policy` are taken from the
-    /// spec's own fields — see [`ScenarioSpec::native_config`].
+    /// Native pool tuning (steal batching, domains, autoscale band, …).
+    /// `workers`/`seed`/`policy` are taken from the spec's own fields —
+    /// see [`ScenarioSpec::native_config`].
     pub native: NativeConfig,
 }
 

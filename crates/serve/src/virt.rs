@@ -12,9 +12,8 @@
 //! Backpressure is modeled the way the native server implements it: a
 //! full queue answers with a retry hint of `(depth + 1 − cap) ×` the
 //! EWMA per-request drain time; a pacing closed-loop client defers (a
-//! re-arrival event at `now + hint`, up to
-//! [`MAX_DEFERRALS`](crate::spec::MAX_DEFERRALS) attempts) before the
-//! hard rejection. All of it integer virtual time — deterministic.
+//! re-arrival event at `now + hint`, up to [`MAX_DEFERRALS`] attempts)
+//! before the hard rejection. All of it integer virtual time — deterministic.
 
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;

@@ -26,10 +26,10 @@
 //!   tests enforce for PWS and RWS);
 //! * [`analyze`] — per-worker utilization, fork→steal latency
 //!   histograms, and the paper-style [`TraceSummary`];
-//! * [`diff`] — structural trace diffing: align two traces of the same
+//! * [`diff`](mod@diff) — structural trace diffing: align two traces of the same
 //!   kernel by task id, compare fork/steal/segment tallies, and report
 //!   where the critical paths diverge (the `trace_diff` binary and the
-//!   mutex-vs-Chase-Lev regression tests are built on it);
+//!   batched-vs-unbatched regression tests are built on it);
 //! * [`chrome`] — Chrome-trace JSON export ([`chrome_trace`] /
 //!   [`chrome_trace_multi`]) viewable in `chrome://tracing` or
 //!   <https://ui.perfetto.dev>;

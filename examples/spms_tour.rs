@@ -3,12 +3,12 @@
 //!
 //! ```text
 //! cargo run --release --example spms_tour                      # simulator
-//! HBP_BACKEND=native HBP_POLICY=rws HBP_DEQUE=cl \
+//! HBP_BACKEND=native HBP_POLICY=rws \
 //!     cargo run --release --example spms_tour                  # real threads
 //! ```
 //!
 //! This is the CI `spms-matrix` smoke: every
-//! `{sim,native} × {pws,rws,bsp} × {cl,mutex}` cell runs this binary on
+//! `{sim,native} × {pws,rws,bsp}` cell runs this binary on
 //! a tiny duplicate-heavy input and the assertions inside prove (a) the
 //! output is oracle-sorted **and stable**, and (b) the pool survives the
 //! run (and a second one) with a sane report. `HBP_EXAMPLE_N` scales the
@@ -65,9 +65,8 @@ fn main() {
                 assert!(report.work >= 1, "the pool executed the root task");
                 assert_eq!(report.p, cfg.workers, "report covers the whole pool");
                 println!(
-                    "SPMS (native round {round}, n = {n}, {policy:?}, {:?}, {} workers): \
+                    "SPMS (native round {round}, n = {n}, {policy:?}, {} workers): \
                      {:.3} ms, {} tasks, {} steals / {} attempts",
-                    cfg.deque,
                     cfg.workers,
                     report.makespan as f64 / 1e6,
                     report.work,

@@ -1,23 +1,22 @@
-//! Cross-crate regression tests for the PR 4 native runtime: the
-//! lock-free Chase-Lev pool must be a drop-in replacement for the
-//! mutex-deque pool — structurally identical traces, policy-driven
-//! execution end-to-end through the `Executor` layer.
+//! Cross-crate regression tests for the native runtime: batched and
+//! unbatched stealing run structurally identical traces, and policy-driven
+//! execution works end-to-end through the `Executor` layer.
 
 use std::sync::Arc;
 
 use hbp_core::prelude::*;
-use hbp_core::sched::native::{DequeKind, NativeConfig, NativePool};
+use hbp_core::sched::native::{NativeConfig, NativePool, StealBatch};
 use hbp_core::sched::Policy as SchedPolicy;
 use hbp_core::trace as tr;
 
 /// Recursive join-based sum through the algos layer's pool routing.
-fn traced_native_sum(deque: DequeKind, workers: usize) -> (u64, tr::Trace) {
+fn traced_native_sum(batch: StealBatch, workers: usize) -> (u64, tr::Trace) {
     let xs: Vec<u64> = (0..1 << 14).collect();
     let cfg = NativeConfig {
         workers,
         seed: 33,
         policy: SchedPolicy::Rws { seed: 4 },
-        deque,
+        batch,
         ..NativeConfig::default()
     };
     let sink = Arc::new(TraceSink::new(workers, ClockDomain::WallNs));
@@ -27,20 +26,20 @@ fn traced_native_sum(deque: DequeKind, workers: usize) -> (u64, tr::Trace) {
     (got, sink.collect())
 }
 
-/// The ISSUE 4 satellite: `trace_diff`'s library layer aligns a
-/// mutex-deque trace with a Chase-Lev trace of the same kernel and
-/// finds them structurally identical — same task-id set, same fork and
-/// begin/end tallies — even though timestamps, steal counts, and worker
-/// placements differ freely between pools.
+/// `trace_diff`'s library layer aligns a batched-steal trace with an
+/// unbatched one of the same kernel and finds them structurally
+/// identical — same task-id set, same fork and begin/end tallies — even
+/// though timestamps, steal counts, and worker placements differ freely
+/// between pools.
 #[test]
-fn mutex_and_chase_lev_traces_are_structurally_identical() {
-    let (sum_mx, trace_mx) = traced_native_sum(DequeKind::Mutex, 4);
-    let (sum_cl, trace_cl) = traced_native_sum(DequeKind::ChaseLev, 4);
-    assert_eq!(sum_mx, sum_cl, "same kernel, same answer");
-    let d = tr::diff(&trace_mx, &trace_cl);
+fn batched_and_unbatched_traces_are_structurally_identical() {
+    let (sum_on, trace_on) = traced_native_sum(StealBatch::Policy, 4);
+    let (sum_off, trace_off) = traced_native_sum(StealBatch::Off, 4);
+    assert_eq!(sum_on, sum_off, "same kernel, same answer");
+    let d = tr::diff(&trace_on, &trace_off);
     assert!(
         d.structurally_equal(),
-        "mutex vs Chase-Lev pools must execute the same task DAG:\n{d}"
+        "batched vs unbatched pools must execute the same task DAG:\n{d}"
     );
     assert_eq!(d.a.tasks, d.b.tasks);
     assert_eq!(d.a.forks, d.b.forks);
@@ -86,7 +85,7 @@ fn sim_policy_diff_aligns_by_task_id_and_compares_critical_paths() {
 /// A diff of a trace against itself is exactly clean.
 #[test]
 fn self_diff_is_clean_on_both_backends() {
-    let (_, native) = traced_native_sum(DequeKind::ChaseLev, 2);
+    let (_, native) = traced_native_sum(StealBatch::Policy, 2);
     let d = tr::diff(&native, &native);
     assert!(d.structurally_equal(), "{d}");
     assert_eq!(d.a, d.b);
@@ -101,10 +100,8 @@ fn native_executor_honours_policy_for_all_kernels() {
         Policy::Rws { seed: 7 },
         Policy::Bsp { prefix_levels: 4 },
     ] {
-        let ex = NativeExecutor {
-            policy,
-            ..NativeExecutor::new(2, 1)
-        };
+        let mut ex = NativeExecutor::new(2, 1);
+        ex.pool.policy = policy;
         let r = ex
             .execute(&ExecJob::new("Scans (M-Sum)", 1 << 12, 3))
             .expect("M-Sum has a native kernel");
@@ -129,9 +126,4 @@ fn policy_parse_accepts_the_documented_syntax() {
         let err = Policy::parse(Some(bad)).expect_err(bad);
         assert!(err.contains("HBP_POLICY"), "names the variable: {err}");
     }
-    assert_eq!(DequeKind::parse(None), Ok(DequeKind::ChaseLev));
-    assert_eq!(DequeKind::parse(Some("mutex")), Ok(DequeKind::Mutex));
-    assert!(DequeKind::parse(Some("spinlock"))
-        .expect_err("typo")
-        .contains("HBP_DEQUE"));
 }

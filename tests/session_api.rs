@@ -9,11 +9,9 @@ use hbp_core::prelude::*;
 use hbp_core::trace::EventKind;
 
 fn native_ex(seed: u64) -> NativeExecutor {
-    NativeExecutor {
-        seed,
-        policy: Policy::Rws { seed: 1 },
-        ..NativeExecutor::new(2, 0)
-    }
+    let mut ex = NativeExecutor::new(2, seed);
+    ex.pool.policy = Policy::Rws { seed: 1 };
+    ex
 }
 
 #[test]
