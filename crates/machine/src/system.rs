@@ -1,8 +1,16 @@
 //! The multicore memory system: p private caches + write-invalidate
 //! coherence directory + miss classification.
+//!
+//! The directory is a `BlockMap`: a block's state is created on its
+//! first fetch and lives until [`MemSystem::reset`]. A read hit therefore
+//! needs no directory lookup at all — the block is resident, so its state
+//! exists and nothing in it changes — and costs one L1 `touch`. Writes
+//! and misses look the state up. The map's hasher is a fixed function of
+//! the block id (see `cache::BlockHasher`), and the directory is
+//! only ever probed by key, never iterated, so no output depends on its
+//! layout.
 
-use std::collections::HashMap;
-
+use crate::cache::BlockMap;
 use crate::{
     AccessOutcome, BlockId, CoreStats, LruCache, MachineConfig, MachineStats, MissKind, Word,
 };
@@ -34,7 +42,7 @@ pub struct MemSystem {
     caches: Vec<LruCache>,
     /// One cache if the L2 is shared, `p` segment caches if partitioned.
     l2: Vec<LruCache>,
-    blocks: HashMap<BlockId, BlockState>,
+    blocks: BlockMap<BlockState>,
     stats: Vec<CoreStats>,
     total_transfers: u64,
 }
@@ -55,7 +63,7 @@ impl MemSystem {
             cfg,
             caches: (0..cfg.p).map(|_| LruCache::new(frames)).collect(),
             l2,
-            blocks: HashMap::new(),
+            blocks: BlockMap::default(),
             stats: vec![CoreStats::default(); cfg.p],
             total_transfers: 0,
         }
@@ -88,13 +96,17 @@ impl MemSystem {
         debug_assert!(core < self.cfg.p);
         let block = self.cfg.block_of(addr);
         let bit = 1u64 << core;
-        let st = self.blocks.entry(block).or_default();
 
         let (outcome, cost) = if self.caches[core].touch(block) {
             self.stats[core].hits += 1;
+            if !write {
+                // A read hit leaves the directory as it is.
+                return (AccessOutcome::Hit, 1);
+            }
             (AccessOutcome::Hit, 1)
         } else {
             // L1 miss: classify, then fetch through the hierarchy.
+            let st = self.blocks.entry(block).or_default();
             let kind = if st.invalidated & bit != 0 {
                 st.invalidated &= !bit;
                 MissKind::Coherence
@@ -143,7 +155,10 @@ impl MemSystem {
 
         if write {
             // Invalidate every other holder (write-invalidate coherence).
-            let st = self.blocks.get_mut(&block).expect("state just created");
+            let st = self
+                .blocks
+                .get_mut(&block)
+                .expect("resident block has state");
             let others = st.holders & !bit;
             if others != 0 {
                 let partitioned = matches!(self.cfg.l2, Some(l2c) if l2c.partitioned);

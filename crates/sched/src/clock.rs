@@ -75,6 +75,14 @@ impl EventQueue {
         self.heap.pop().map(|Reverse(ev)| ev)
     }
 
+    /// Whether an event pushed now at `time` would be the next to pop:
+    /// `time` is strictly earlier than every pending event. At an equal
+    /// time the new event carries the newest sequence number and queues
+    /// behind the pending ones, so the answer is `false`.
+    pub fn precedes_all(&self, time: u64) -> bool {
+        self.heap.peek().is_none_or(|Reverse(ev)| time < ev.time)
+    }
+
     /// Request a steal sweep at `time`. `wanted` gates the request (the
     /// engine passes "some core is idle"); a sweep already pending at an
     /// earlier-or-equal time absorbs the request.
@@ -126,6 +134,26 @@ mod tests {
             .filter(|e| e.kind == EvKind::Sweep)
             .count();
         assert_eq!(sweeps, 2);
+    }
+
+    #[test]
+    fn precedes_all_only_strictly_earlier_times() {
+        let pending = || {
+            let mut q = EventQueue::new();
+            q.push(5, EvKind::Step(0));
+            q.push(5, EvKind::Step(1));
+            q.push(9, EvKind::Sweep);
+            q
+        };
+        assert!(EventQueue::new().precedes_all(0), "empty queue");
+        for time in 3..=10 {
+            let mut q = pending();
+            let ahead = q.precedes_all(time);
+            assert_eq!(ahead, time < 5, "time {time}");
+            // Run-ahead is exactly "push, then the push pops next".
+            q.push(time, EvKind::Step(2));
+            assert_eq!(q.pop().map(|e| e.kind) == Some(EvKind::Step(2)), ahead);
+        }
     }
 
     #[test]

@@ -250,7 +250,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Execute one chargeable action for `core`; zero-cost control steps
-    /// (node finish, join resolution) cascade within the same event.
+    /// (node finish, join resolution) cascade within the same event, and
+    /// so do further accesses while the core's clock stays strictly
+    /// before every pending event (see [`EventQueue::precedes_all`]).
     fn step(&mut self, core: usize) {
         loop {
             let cur = match self.cores[core].state {
@@ -307,7 +309,12 @@ impl<'a> Engine<'a> {
                         item: cur.item,
                         pos: cur.pos + 1,
                     });
+                    // Run ahead while the Step event we would push is the
+                    // next to pop: same order, no heap round trip.
                     let t = self.cores[core].time;
+                    if self.clock.precedes_all(t) {
+                        continue;
+                    }
                     self.clock.push(t, EvKind::Step(core as u32));
                     return;
                 }

@@ -160,6 +160,9 @@ fn concurrent_filtered_steals_never_take_denied_items() {
 /// claiming sequence. Exactly-once must survive batches racing each
 /// other, the owner's bottom pops, and buffer growth mid-batch.
 ///
+/// With `preload`, all `n` items are pushed before any thief starts and
+/// the owner neither pushes nor pops while the thieves drain the deque.
+///
 /// Returns (owner-consumed, per-thief batch sizes) so callers can also
 /// assert batch geometry (never more than `max`, never empty on Data).
 fn batch_storm(
@@ -168,8 +171,14 @@ fn batch_storm(
     max: usize,
     initial_cap: usize,
     pop_every: u64,
+    preload: bool,
 ) -> (usize, Vec<Vec<usize>>) {
     let deque: Arc<ClDeque<u64>> = Arc::new(ClDeque::with_capacity(initial_cap));
+    if preload {
+        for i in 0..n {
+            deque.push(i);
+        }
+    }
     let done = Arc::new(AtomicBool::new(false));
     let mut seen = vec![0u32; n as usize];
 
@@ -214,16 +223,18 @@ fn batch_storm(
             .collect();
 
         let mut owner: Vec<u64> = Vec::new();
-        for i in 0..n {
-            deque.push(i);
-            if pop_every > 0 && i % pop_every == pop_every - 1 {
-                if let Some(v) = deque.pop() {
-                    owner.push(v);
+        if !preload {
+            for i in 0..n {
+                deque.push(i);
+                if pop_every > 0 && i % pop_every == pop_every - 1 {
+                    if let Some(v) = deque.pop() {
+                        owner.push(v);
+                    }
                 }
             }
-        }
-        while let Some(v) = deque.pop() {
-            owner.push(v);
+            while let Some(v) = deque.pop() {
+                owner.push(v);
+            }
         }
         done.store(true, Ordering::Release);
         let joined: Vec<(Vec<u64>, Vec<usize>)> =
@@ -252,7 +263,7 @@ fn batch_storm(
 
 #[test]
 fn batched_steal_storm_every_item_exactly_once() {
-    let (owner, batches) = batch_storm(100_000, 3, 8, 64, 0);
+    let (owner, batches) = batch_storm(100_000, 3, 8, 64, 0, false);
     let stolen: usize = batches.iter().flatten().sum();
     assert_eq!(owner + stolen, 100_000);
 }
@@ -261,16 +272,17 @@ fn batched_steal_storm_every_item_exactly_once() {
 fn batched_steal_storm_with_owner_pops_and_growth() {
     // Capacity 2 forces dozens of grows while batches are mid-claim;
     // owner pops race the bottom end of the same windows.
-    batch_storm(30_000, 4, 8, 2, 5);
+    batch_storm(30_000, 4, 8, 2, 5, false);
 }
 
 #[test]
 fn batched_storm_actually_batches() {
     // One thief, no owner pops after the fill: with the deque pre-loaded
-    // and max=8, at least one multi-item batch must occur — guards
+    // before the thief starts and max=8, every steal sees a long queue,
+    // so at least one multi-item batch must occur — guards
     // against a regression where steal_batch_with degenerates to
     // single-steal (the exactly-once tests above would still pass).
-    let (_, batches) = batch_storm(50_000, 1, 8, 64, 0);
+    let (_, batches) = batch_storm(50_000, 1, 8, 64, 0, true);
     assert!(
         batches[0].iter().any(|&k| k > 1),
         "50k items / 1 thief / max=8 never produced a multi-item batch: {:?}",
@@ -357,6 +369,6 @@ proptest! {
         cap_pow in 1u32..7,
         pop_every in 0u64..9,
     ) {
-        batch_storm(n, thieves, max, 1usize << cap_pow, pop_every);
+        batch_storm(n, thieves, max, 1usize << cap_pow, pop_every, false);
     }
 }
