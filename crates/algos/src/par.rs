@@ -13,6 +13,9 @@
 //! * called anywhere else, joins go to `rayon::join` (the vendored shim
 //!   runs both closures on scoped threads up to a depth budget).
 
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::atomic::{AtomicBool, AtomicU64};
+
 use hbp_model::Cx;
 
 use crate::layout::morton;
@@ -782,39 +785,347 @@ fn spms_rec(data: &mut [(u64, u64)], arena: &mut [(u64, u64)]) {
     spms_phase_b(data, 0, nbuckets, half_a, half_b, bnd_a, bnd_b, &nrs, &cx);
 }
 
-/// Parallel list ranking by pointer jumping (the practical baseline).
+/// Every `RULER_STRIDE`-th node index is a list-ranking ruler, so a
+/// walk covers about this many nodes on a random list. A power of two.
+const RULER_STRIDE: usize = 64;
+
+/// Walks one fan-out leaf advances in lockstep: their successor loads
+/// are independent, so the cache misses of the walks overlap.
+const WALK_LANES: usize = 8;
+
+/// Rulers per walk leaf.
+const WALK_LEAF_RULERS: usize = 32;
+
+/// Nodes per leaf of the streaming list-ranking passes.
+const SCAN_GRAIN: usize = 8 * SEQ_CUTOFF;
+
+/// A `tag` word is `flag | ruler << 32 | distance`. A ruler's walk tags
+/// its nodes `AFTER` the ruler, so `rank = rank(ruler) − distance`; a
+/// head's walk tags its nodes `BEFORE` the ruler its walk runs into, so
+/// `rank = rank(ruler) + distance`. `link` words pack `next << 32 |
+/// length` the same way.
+const AFTER: u64 = 1 << 63;
+const BEFORE: u64 = 1 << 62;
+const WALKED: u64 = AFTER | BEFORE;
+const RULER_BITS: u64 = (1 << 30) - 1;
+const LOW: u64 = u32::MAX as u64;
+
+/// The `tag` of a node no walk reached whose predecessor no walk
+/// reached either; an unreached node still tagged 0 is a head.
+const HAS_PRED: u64 = 1;
+
+/// The `next` field of a ruler whose walk ends at a tail.
+const NO_NEXT: u64 = LOW;
+
+/// Ruler-rank states while the ruler chains are ranked: not reached by
+/// any ruler's walk, reached by one, and on the chain being ranked.
+const UNSEEN: u64 = u64::MAX;
+const REACHED: u64 = u64::MAX - 1;
+const ON_PATH: u64 = u64::MAX - 2;
+
+/// Sum `f(lo, hi)` over `grain`-wide windows of `lo..hi`, forked in
+/// parallel.
+fn par_fold<F>(lo: usize, hi: usize, grain: usize, f: &F) -> u64
+where
+    F: Fn(usize, usize) -> u64 + Sync,
+{
+    if hi - lo <= grain {
+        return f(lo, hi);
+    }
+    let mid = lo + (hi - lo).div_ceil(2 * grain) * grain;
+    let (a, b) = pjoin(
+        || par_fold(lo, mid, grain, f),
+        || par_fold(mid, hi, grain, f),
+    );
+    a + b
+}
+
+/// One ruler's walk: the ruler, the node the walk stands on, and that
+/// node's distance from the ruler.
+#[derive(Clone, Copy, Default)]
+struct Walk {
+    ruler: u64,
+    node: usize,
+    dist: u64,
+}
+
+/// One ruler's record.
+struct Ruler {
+    /// `(next ruler or NO_NEXT) << 32 | nodes the ruler's walk tagged`.
+    link: AtomicU64,
+    /// A head's walk ran into the ruler.
+    entered: AtomicBool,
+    /// The ruler's rank once the ruler chains are ranked; `UNSEEN`,
+    /// `REACHED` or `ON_PATH` while they are.
+    rank: AtomicU64,
+}
+
+/// What the list-ranking passes share.
+struct RankCx<'a> {
+    succ: &'a [usize],
+    /// Per node: its `AFTER`/`BEFORE` word once a walk reached it.
+    tag: &'a [AtomicU64],
+    rulers: &'a [Ruler],
+}
+
+impl RankCx<'_> {
+    /// The successor of `v`, checked; a walk past `n` steps is on a cycle.
+    fn succ_of(&self, v: usize, dist: u64) -> usize {
+        let n = self.succ.len();
+        let s = self.succ[v];
+        assert!(
+            s < n,
+            "par_list_rank: succ[{v}] = {s} is out of range for n = {n}"
+        );
+        assert!(
+            dist < n as u64,
+            "par_list_rank: malformed list: a walk ran past n = {n} steps \
+             without reaching a tail (a cycle reachable from a chain)"
+        );
+        s
+    }
+
+    /// Walk the sublists of rulers `r0..r1`, `WALK_LANES` at a time, and
+    /// return how many nodes they tagged.
+    fn walk_rulers(&self, r0: usize, r1: usize) -> u64 {
+        let mut rulers = (r0..r1).map(|r| Walk {
+            ruler: r as u64,
+            node: r * RULER_STRIDE,
+            dist: 0,
+        });
+        let mut lanes = [Walk::default(); WALK_LANES];
+        let mut live = 0;
+        for (lane, w) in lanes.iter_mut().zip(rulers.by_ref()) {
+            *lane = w;
+            live += 1;
+        }
+        let mut tagged = 0;
+        while live > 0 {
+            let mut k = 0;
+            while k < live {
+                let w = &mut lanes[k];
+                let v = w.node;
+                self.tag[v].store(AFTER | w.ruler << 32 | w.dist, Relaxed);
+                let s = self.succ_of(v, w.dist);
+                let next = if s == v {
+                    NO_NEXT
+                } else if s.is_multiple_of(RULER_STRIDE) {
+                    (s / RULER_STRIDE) as u64
+                } else {
+                    w.node = s;
+                    w.dist += 1;
+                    k += 1;
+                    continue;
+                };
+                self.rulers[w.ruler as usize]
+                    .link
+                    .store(next << 32 | (w.dist + 1), Relaxed);
+                tagged += w.dist + 1;
+                match rulers.next() {
+                    Some(fresh) => {
+                        lanes[k] = fresh;
+                        k += 1;
+                    }
+                    None => {
+                        live -= 1;
+                        lanes[k] = lanes[live];
+                    }
+                }
+            }
+        }
+        tagged
+    }
+
+    /// Walk from head `h` to the ruler it runs into (or to its tail,
+    /// the pseudo-ruler `tail_ruler` of rank 0), tag the nodes `BEFORE`
+    /// it, and return how many nodes that tagged.
+    fn walk_head(&self, h: usize, tail_ruler: u64) -> u64 {
+        let (mut v, mut len) = (h, 0u64);
+        let (ruler, dist) = loop {
+            let s = self.succ_of(v, len);
+            len += 1;
+            if s == v {
+                break (tail_ruler, len - 1);
+            }
+            if s.is_multiple_of(RULER_STRIDE) {
+                let r = s / RULER_STRIDE;
+                assert!(
+                    !self.rulers[r].entered.swap(true, Relaxed),
+                    "par_list_rank: malformed list: two chains join \
+                     (a node with two predecessors)"
+                );
+                break (r as u64, len);
+            }
+            v = s;
+        };
+        v = h;
+        for i in 0..len {
+            self.tag[v].store(BEFORE | ruler << 32 | (dist - i), Relaxed);
+            v = self.succ[v];
+        }
+        len
+    }
+}
+
+/// Rank the ruler chain that starts at ruler `start`: each ruler's
+/// `rank` becomes its distance to the tail. Returns the chain's length
+/// in rulers.
+fn rank_ruler_chain(start: usize, rulers: &[Ruler]) -> usize {
+    let unpack = |r: usize| {
+        let l = rulers[r].link.load(Relaxed);
+        (l >> 32, l & LOW)
+    };
+    let (mut r, mut total, mut len) = (start, 0u64, 0usize);
+    loop {
+        match rulers[r].rank.swap(ON_PATH, Relaxed) {
+            UNSEEN | REACHED => {}
+            ON_PATH => panic!("par_list_rank: malformed list: a chain returns to itself (a cycle)"),
+            _ => panic!(
+                "par_list_rank: malformed list: two chains join (a node with two predecessors)"
+            ),
+        }
+        let (next, sub) = unpack(r);
+        total += sub;
+        len += 1;
+        if next == NO_NEXT {
+            break;
+        }
+        r = next as usize;
+    }
+    r = start;
+    loop {
+        let (next, sub) = unpack(r);
+        rulers[r].rank.store(total - 1, Relaxed);
+        total -= sub;
+        if next == NO_NEXT {
+            return len;
+        }
+        r = next as usize;
+    }
+}
+
+/// Parallel list ranking with O(n) work: `rank[v]` is the number of
+/// links from `v` to the tail of its chain (`succ[t] == t` marks a
+/// tail). `succ` may hold several chains; a cycle, or a node with two
+/// predecessors, panics with a message that names the defect.
+///
+/// This is the sublist ("ruler") ranker of Helman & JáJá, the native
+/// counterpart of the simulated `listrank` that the paper makes
+/// work-efficient by sampling (§3.2):
+///
+/// 1. every `RULER_STRIDE`-th index is a ruler; a `pjoin` fan-out walks
+///    each ruler's sublist up to the next ruler or a tail, `WALK_LANES`
+///    walks per leaf in lockstep so their cache misses overlap, and
+///    tags each node with its ruler and distance;
+/// 2. the chain heads are walked too: a head has no predecessor, so no
+///    ruler's walk reaches it, and without its own walk the start of its
+///    chain would go unranked. A head's walk tags its nodes by their
+///    distance to the ruler it runs into. Heads are the nodes step 1 left
+///    untagged that no other untagged node points to, found by one
+///    parallel marking pass over just those nodes — about
+///    `RULER_STRIDE` per chain. Marking from every node before the walks
+///    would scatter `n` more writes across the workers' caches;
+/// 3. the ruler chains, about `n / RULER_STRIDE` rulers, are ranked
+///    sequentially;
+/// 4. one streaming pass ranks every node from its ruler's rank.
+///
+/// Every pass touches each node a constant number of times, so the work
+/// is O(n), and the large buffers are two whatever `n` is: the node tags,
+/// which become the ranks in place, and the ruler records. The walks'
+/// `tag` writes land at scattered nodes, so two workers' walks write
+/// into the same cache blocks: that block sharing is what the
+/// benchmark's `lr.inflation` metric measures.
+///
+/// All atomics are `Relaxed`: a pass reads another pass's writes only
+/// after the `pjoin` that ends it has joined, and within a pass no
+/// atomic publishes other data.
 pub fn par_list_rank(succ: &[usize]) -> Vec<u64> {
     let n = succ.len();
-    let mut s: Vec<usize> = succ.to_vec();
-    let mut d: Vec<u64> = (0..n).map(|i| u64::from(succ[i] != i)).collect();
-    // One jump round: ns[i] = s[s[i]], nd[i] = d[i] + d[s[i]], forked over
-    // disjoint output windows (`off` = the window's global start index).
-    fn jump(s: &[usize], d: &[u64], ns: &mut [usize], nd: &mut [u64], off: usize) {
-        if ns.len() <= SEQ_CUTOFF {
-            for i in 0..ns.len() {
-                let g = off + i;
-                ns[i] = s[s[g]];
-                nd[i] = d[g] + d[s[g]];
+    // Distances then fit the low 32 bits, and ruler ids the 30 above.
+    assert!(
+        u32::try_from(n).is_ok(),
+        "par_list_rank: n = {n} does not fit the packed tag words"
+    );
+    let nr = n.div_ceil(RULER_STRIDE);
+    let tag: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
+    let rulers: Vec<Ruler> = (0..=nr)
+        .map(|r| Ruler {
+            link: AtomicU64::new(0),
+            entered: AtomicBool::new(false),
+            // The last record is the tails' pseudo-ruler, of rank 0.
+            rank: AtomicU64::new(if r < nr { UNSEEN } else { 0 }),
+        })
+        .collect();
+    let cx = RankCx {
+        succ,
+        tag: &tag,
+        rulers: &rulers,
+    };
+    // 1. walk the rulers' sublists.
+    let mut tagged = par_fold(0, nr, WALK_LEAF_RULERS, &|r0, r1| cx.walk_rulers(r0, r1));
+    // 2. mark the untagged nodes that have an untagged predecessor, then
+    // walk from the rest: the heads.
+    par_fold(0, n, SCAN_GRAIN, &|lo, hi| {
+        for v in lo..hi {
+            if tag[v].load(Relaxed) & WALKED == 0 {
+                let s = cx.succ_of(v, 0);
+                if s != v && !s.is_multiple_of(RULER_STRIDE) {
+                    tag[s].store(HAS_PRED, Relaxed);
+                }
             }
-            return;
         }
-        let mid = ns.len() / 2;
-        let (nsl, nsr) = ns.split_at_mut(mid);
-        let (ndl, ndr) = nd.split_at_mut(mid);
-        pjoin(
-            || jump(s, d, nsl, ndl, off),
-            || jump(s, d, nsr, ndr, off + mid),
-        );
+        0
+    });
+    tagged += par_fold(0, n, SCAN_GRAIN, &|lo, hi| {
+        (lo..hi)
+            .filter(|&v| tag[v].load(Relaxed) == 0)
+            .map(|h| cx.walk_head(h, nr as u64))
+            .sum()
+    });
+    // 3. rank the ruler chains from the rulers no ruler's walk reaches.
+    let mut joined = false;
+    for r in &rulers[..nr] {
+        let next = r.link.load(Relaxed) >> 32;
+        if next != NO_NEXT {
+            let to = &rulers[next as usize];
+            to.rank.store(REACHED, Relaxed);
+            joined |= to.entered.load(Relaxed);
+        }
     }
-    let rounds = 64 - (n.max(2) as u64 - 1).leading_zeros();
-    for _ in 0..rounds {
-        let mut ns = vec![0usize; n];
-        let mut nd = vec![0u64; n];
-        jump(&s, &d, &mut ns, &mut nd, 0);
-        s = ns;
-        d = nd;
+    let mut ranked = 0;
+    for r in 0..nr {
+        if rulers[r].rank.load(Relaxed) == UNSEEN {
+            ranked += rank_ruler_chain(r, &rulers);
+        }
     }
-    d
+    assert!(
+        ranked == nr,
+        "par_list_rank: malformed list: {} rulers lie on a cycle no chain reaches",
+        nr - ranked
+    );
+    assert!(
+        !joined && tagged <= n as u64,
+        "par_list_rank: malformed list: two chains join (a node with two predecessors)"
+    );
+    // 4. rank every node from its ruler, in place.
+    par_fold(0, n, SCAN_GRAIN, &|lo, hi| {
+        for (v, t) in (lo..hi).zip(&tag[lo..hi]) {
+            let w = t.load(Relaxed);
+            let base = rulers[(w >> 32 & RULER_BITS) as usize].rank.load(Relaxed);
+            let dist = w & LOW;
+            let rank = match w & WALKED {
+                AFTER => base - dist,
+                BEFORE => base + dist,
+                _ => panic!(
+                    "par_list_rank: malformed list: node {v} lies on a cycle no chain reaches"
+                ),
+            };
+            t.store(rank, Relaxed);
+        }
+        0
+    });
+    // Collects in place: the ranks leave in `tag`'s own allocation.
+    tag.into_iter().map(AtomicU64::into_inner).collect()
 }
 
 #[cfg(test)]
@@ -822,6 +1133,7 @@ mod tests {
     use super::*;
     use crate::gen;
     use crate::oracle;
+    use hbp_sched::Policy;
 
     #[test]
     fn par_sum_and_prefix() {
@@ -948,10 +1260,198 @@ mod tests {
         );
     }
 
+    /// Pointer jumping: the reference for forests of chains, which the
+    /// oracle (one chain) does not rank.
+    fn pointer_jumping(succ: &[usize]) -> Vec<u64> {
+        let n = succ.len();
+        let mut s = succ.to_vec();
+        let mut d: Vec<u64> = (0..n).map(|i| u64::from(succ[i] != i)).collect();
+        for _ in 0..64 - (n.max(2) as u64 - 1).leading_zeros() {
+            let nd: Vec<u64> = (0..n).map(|i| d[i] + d[s[i]]).collect();
+            s = (0..n).map(|i| s[s[i]]).collect();
+            d = nd;
+        }
+        d
+    }
+
+    /// The successor array of chains visiting `order` front to back,
+    /// cut after every position `i` where `cut(i)` holds.
+    fn chains(order: &[usize], cut: impl Fn(usize) -> bool) -> Vec<usize> {
+        let mut succ = vec![0; order.len()];
+        for (i, w) in order.windows(2).enumerate() {
+            succ[w[0]] = if cut(i) { w[0] } else { w[1] };
+        }
+        if let Some(&t) = order.last() {
+            succ[t] = t;
+        }
+        succ
+    }
+
+    fn shuffled(n: usize, seed: u64) -> Vec<usize> {
+        let mut state = seed | 1;
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, (xs(&mut state) % (i as u64 + 1)) as usize);
+        }
+        order
+    }
+
+    /// List-ranking cases with their expected ranks: single chains in
+    /// random, identity and reversed order (checked against the oracle),
+    /// and forests of random chains and of singletons (checked against
+    /// pointer jumping).
+    fn list_rank_cases() -> Vec<(String, Vec<usize>, Vec<u64>)> {
+        let sizes = [
+            0,
+            1,
+            2,
+            3,
+            RULER_STRIDE - 1,
+            RULER_STRIDE + 1,
+            SEQ_CUTOFF - 1,
+            SEQ_CUTOFF + 1,
+            5000,
+            1 << 16,
+        ];
+        let mut cases = Vec::new();
+        for n in sizes {
+            let random = shuffled(n, n as u64);
+            let identity: Vec<usize> = (0..n).collect();
+            let reversed: Vec<usize> = (0..n).rev().collect();
+            for (order, kind) in [
+                (random, "random"),
+                (identity, "identity"),
+                (reversed, "reversed"),
+            ] {
+                let succ = chains(&order, |_| false);
+                let want = if n == 0 {
+                    Vec::new()
+                } else {
+                    oracle::list_rank(&succ)
+                };
+                cases.push((format!("n={n} {kind}"), succ, want));
+            }
+            let mut state = n as u64 + 7;
+            let cuts: Vec<bool> = (0..n).map(|_| xs(&mut state).is_multiple_of(8)).collect();
+            let forest = chains(&shuffled(n, n as u64 + 3), |i| cuts[i]);
+            let singletons: Vec<usize> = (0..n).collect();
+            for (succ, kind) in [(forest, "forest"), (singletons, "singletons")] {
+                let want = pointer_jumping(&succ);
+                cases.push((format!("n={n} {kind}"), succ, want));
+            }
+        }
+        cases
+    }
+
     #[test]
-    fn par_list_rank_matches() {
+    fn pointer_jumping_reference_matches_the_oracle() {
         let succ = gen::random_list(1000, 8);
-        assert_eq!(par_list_rank(&succ), oracle::list_rank(&succ));
+        assert_eq!(pointer_jumping(&succ), oracle::list_rank(&succ));
+    }
+
+    #[test]
+    fn par_list_rank_matches_oracle_and_pointer_jumping() {
+        for (name, succ, want) in list_rank_cases() {
+            assert_eq!(par_list_rank(&succ), want, "{name}");
+        }
+    }
+
+    #[test]
+    fn par_list_rank_matches_inside_native_pool() {
+        let cases = list_rank_cases();
+        for policy in [Policy::Pws, Policy::Rws { seed: 5 }] {
+            for workers in [2, 3] {
+                let cfg = hbp_sched::native::NativeConfig {
+                    workers,
+                    seed: 17,
+                    policy,
+                    ..Default::default()
+                };
+                let (got, report) = hbp_sched::native::NativePool::run(cfg, || {
+                    cases
+                        .iter()
+                        .map(|(_, succ, _)| par_list_rank(succ))
+                        .collect::<Vec<_>>()
+                });
+                for ((name, _, want), got) in cases.iter().zip(got) {
+                    assert_eq!(got, *want, "{name} {policy:?} workers={workers}");
+                }
+                assert!(report.work > 1, "list ranking forked tasks on the pool");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn par_list_rank_rejects_a_pure_cycle() {
+        let n = 5000;
+        let ring: Vec<usize> = (0..n).map(|i| (i + 1) % n).collect();
+        par_list_rank(&ring);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn par_list_rank_rejects_a_ruler_free_cycle_beside_a_chain() {
+        // 0 → 4 → 5 → … → 99 is a chain; 1 → 2 → 3 → 1 has no ruler.
+        let mut succ: Vec<usize> = (0..100).map(|i| (i + 1).min(99)).collect();
+        succ[0] = 4;
+        succ[3] = 1;
+        par_list_rank(&succ);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn par_list_rank_rejects_a_cycle_reachable_from_a_chain() {
+        // 0 → 1 → … → 4999 → 10: the cycle holds stride rulers.
+        let n = 5000;
+        let mut succ: Vec<usize> = (1..=n).collect();
+        succ[n - 1] = 10;
+        par_list_rank(&succ);
+    }
+
+    #[test]
+    #[should_panic(expected = "cycle")]
+    fn par_list_rank_bounds_a_walk_into_a_ruler_free_cycle() {
+        // 0 → 1 → … → 49 → 10: only node 0 is a ruler, so the walk from
+        // it would circle forever without the n-step bound.
+        let n = RULER_STRIDE - 14;
+        let mut succ: Vec<usize> = (1..=n).collect();
+        succ[n - 1] = 10;
+        par_list_rank(&succ);
+    }
+
+    #[test]
+    #[should_panic(expected = "two predecessors")]
+    fn par_list_rank_rejects_a_node_with_two_predecessors() {
+        par_list_rank(&[2, 2, 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "two predecessors")]
+    fn par_list_rank_rejects_two_chains_joining_at_a_ruler() {
+        // 1 → 64 and 2 → 64 → 65 (tail); everything else a singleton.
+        let mut succ: Vec<usize> = (0..2 * RULER_STRIDE).collect();
+        succ[1] = RULER_STRIDE;
+        succ[2] = RULER_STRIDE;
+        succ[RULER_STRIDE] = RULER_STRIDE + 1;
+        par_list_rank(&succ);
+    }
+
+    #[test]
+    #[should_panic(expected = "two predecessors")]
+    fn par_list_rank_rejects_a_head_joining_a_rulers_walk() {
+        // Ruler 0 → 64 and head 1 → 64 → 65 (tail); the rest singletons.
+        let mut succ: Vec<usize> = (0..2 * RULER_STRIDE).collect();
+        succ[0] = RULER_STRIDE;
+        succ[1] = RULER_STRIDE;
+        succ[RULER_STRIDE] = RULER_STRIDE + 1;
+        par_list_rank(&succ);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn par_list_rank_rejects_an_out_of_range_successor() {
+        par_list_rank(&[1, 5, 2]);
     }
 
     #[test]

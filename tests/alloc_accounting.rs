@@ -1,4 +1,5 @@
-//! Allocation-accounting regression test for the fused SPMS hot path.
+//! Allocation-accounting regression tests for the native SPMS and
+//! list-ranking hot paths.
 //!
 //! PR 7 replaced per-bucket scratch `Vec`s (and `sort_unstable`'s hidden
 //! per-call temp buffer) with one ping-pong arena sized by `arena_len`,
@@ -16,9 +17,17 @@
 //! this test gates. A regression back to per-bucket buffers trips the
 //! bound by an order of magnitude (hundreds of ≥ 4 KiB allocations), so
 //! the margin below is generous without being blind.
+//!
+//! List ranking gets the same treatment: its sublist ranker allocates a
+//! fixed handful of buffers whatever `n` is, where pointer jumping made
+//! two fresh arrays per round, 2·⌈log₂ n⌉ + 2 in all.
+//!
+//! The counter is global, so the tests take turns: each holds `SERIAL`
+//! for its whole body.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Allocations at or above this size count toward the budget. The arena,
 /// the flattened cut/boundary tables, and the sample vector all clear it
@@ -29,6 +38,7 @@ struct CountingAlloc;
 
 static ARMED: AtomicBool = AtomicBool::new(false);
 static LARGE_ALLOCS: AtomicU64 = AtomicU64::new(0);
+static SERIAL: Mutex<()> = Mutex::new(());
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
@@ -55,6 +65,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
 
+/// Run `f` with the counter armed and return its result and how many
+/// large allocations it made.
+fn count_large<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    LARGE_ALLOCS.store(0, Ordering::SeqCst);
+    ARMED.store(true, Ordering::SeqCst);
+    let r = f();
+    ARMED.store(false, Ordering::SeqCst);
+    (r, LARGE_ALLOCS.load(Ordering::SeqCst))
+}
+
 fn keyed(n: usize, seed: u64) -> Vec<(u64, u64)> {
     let mut s = seed | 1;
     (0..n as u64)
@@ -69,15 +89,13 @@ fn keyed(n: usize, seed: u64) -> Vec<(u64, u64)> {
 
 #[test]
 fn par_spms_makes_constant_large_allocations_not_per_bucket() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let n = 1 << 16;
     let mut data = keyed(n, 0x5eed);
     let mut expect: Vec<(u64, u64)> = data.clone();
     expect.sort(); // payloads are unique, so a full sort is the oracle
 
-    ARMED.store(true, Ordering::SeqCst);
-    hbp_core::algos::par::par_spms(&mut data);
-    ARMED.store(false, Ordering::SeqCst);
-    let large = LARGE_ALLOCS.load(Ordering::SeqCst);
+    let ((), large) = count_large(|| hbp_core::algos::par::par_spms(&mut data));
 
     assert_eq!(data, expect, "sorted output before counting anything");
     // One super-recursion level at n = 2^16 (chunks of 256 fall to the
@@ -93,5 +111,29 @@ fn par_spms_makes_constant_large_allocations_not_per_bucket() {
     assert!(
         large >= 1,
         "counter saw no large allocations — test is inert"
+    );
+}
+
+#[test]
+fn par_list_rank_makes_the_same_few_large_allocations_at_any_n() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut counts = Vec::new();
+    for n in [1 << 14, 1 << 16] {
+        let succ = hbp_core::algos::gen::random_list(n, 0x5eed);
+        let want = hbp_core::algos::oracle::list_rank(&succ);
+        let (got, large) = count_large(|| hbp_core::algos::par::par_list_rank(&succ));
+        assert_eq!(got, want, "ranks at n = {n} before counting anything");
+        counts.push(large);
+    }
+    // The node tags, which become the output, and the ruler records.
+    // Pointer jumping made 30 at n = 2^14 and 34 at n = 2^16.
+    assert_eq!(
+        counts[0], counts[1],
+        "par_list_rank's large (>= {LARGE} B) allocations grow with n: {counts:?}"
+    );
+    assert!(
+        (1..=4).contains(&counts[0]),
+        "par_list_rank made {} large allocations; expected a fixed handful",
+        counts[0]
     );
 }
