@@ -39,30 +39,6 @@ where
     }
 }
 
-/// Apply `f` to disjoint `chunk`-width windows of `data` in parallel.
-/// When `data.len()` is not a multiple of `chunk` the final window is
-/// shorter — callees that require exact row lengths (e.g. the row FFTs,
-/// where `n = k1·k2` guarantees exact division) must ensure divisibility
-/// themselves.
-fn for_each_chunk_par<T: Send, F>(data: &mut [T], chunk: usize, f: &F)
-where
-    F: Fn(&mut [T]) + Sync,
-{
-    if data.len() <= chunk {
-        if !data.is_empty() {
-            f(data);
-        }
-        return;
-    }
-    let chunks = data.len().div_ceil(chunk);
-    let mid = (chunks / 2) * chunk;
-    let (l, r) = data.split_at_mut(mid);
-    pjoin(
-        || for_each_chunk_par(l, chunk, f),
-        || for_each_chunk_par(r, chunk, f),
-    );
-}
-
 /// Parallel sum (M-Sum).
 pub fn par_sum(a: &[u64]) -> u64 {
     if a.len() <= SEQ_CUTOFF {
@@ -179,29 +155,68 @@ pub fn par_transpose_bi(a: &mut [f64], n: usize) {
     diag(a, n);
 }
 
-/// Strassen multiplication of two `n×n` BI matrices (forked recursion),
-/// falling back to naive multiplication below the cutoff.
-pub fn par_strassen_bi(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
-    assert!(n.is_power_of_two() && a.len() == n * n && b.len() == n * n);
-    fn naive_bi(a: &[f64], b: &[f64], k: usize) -> Vec<f64> {
-        let mut c = vec![0.0; k * k];
-        for i in 0..k {
-            for l in 0..k {
-                let x = a[morton(i as u64, l as u64) as usize];
-                for j in 0..k {
-                    c[morton(i as u64, j as u64) as usize] +=
-                        x * b[morton(l as u64, j as u64) as usize];
-                }
+/// Side of the Strassen recursion's leaves: a `k×k` product with
+/// `k ≤ STRASSEN_LEAF` is multiplied directly.
+const STRASSEN_LEAF: usize = 32;
+
+/// Direct product of two `k×k` BI blocks (`k ≤ STRASSEN_LEAF`).
+///
+/// Both blocks are gathered into stack-local row-major arrays through a
+/// table of `spread(i)` (`morton(i, j) = spread(i) << 1 | spread(j)`),
+/// multiplied by an i-l-j loop over contiguous rows, and C is scattered
+/// back into BI order. Every `c[i][j]` sums `a[i][l]·b[l][j]` over
+/// `l = 0, 1, …` in the same order as a morton-indexed triple loop, so the
+/// result is bit-identical to it.
+fn strassen_leaf(a: &[f64], b: &[f64], k: usize) -> Vec<f64> {
+    assert!(k <= STRASSEN_LEAF);
+    let mut spread = [0usize; STRASSEN_LEAF];
+    for (j, s) in spread[..k].iter_mut().enumerate() {
+        *s = morton(0, j as u64) as usize;
+    }
+    let spread = &spread[..k];
+    let at = |i: usize, j: usize| spread[i] << 1 | spread[j];
+    let mut ar = [0.0; STRASSEN_LEAF * STRASSEN_LEAF];
+    let mut br = [0.0; STRASSEN_LEAF * STRASSEN_LEAF];
+    let mut cr = [0.0; STRASSEN_LEAF * STRASSEN_LEAF];
+    for i in 0..k {
+        for j in 0..k {
+            ar[i * k + j] = a[at(i, j)];
+            br[i * k + j] = b[at(i, j)];
+        }
+    }
+    let (ar, br) = (&ar[..k * k], &br[..k * k]);
+    for (ci, ai) in cr[..k * k].chunks_exact_mut(k).zip(ar.chunks_exact(k)) {
+        for (&x, bl) in ai.iter().zip(br.chunks_exact(k)) {
+            for (c, &y) in ci.iter_mut().zip(bl) {
+                *c += x * y;
             }
         }
-        c
     }
+    let mut c = vec![0.0; k * k];
+    for i in 0..k {
+        for j in 0..k {
+            c[at(i, j)] = cr[i * k + j];
+        }
+    }
+    c
+}
+
+/// Strassen multiplication of two `n×n` BI matrices.
+///
+/// The seven half-size products fork through [`pjoin`] and are summed
+/// into C's quadrants, which BI order keeps contiguous. The recursion
+/// stops at blocks of side 32 or less, which are gathered into
+/// stack-local row-major arrays, multiplied over contiguous rows and
+/// scattered back into BI order; the result is bit-identical to a
+/// morton-indexed triple loop at the leaves.
+pub fn par_strassen_bi(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
+    assert!(n.is_power_of_two() && a.len() == n * n && b.len() == n * n);
     fn add(x: &[f64], y: &[f64], coeff: f64) -> Vec<f64> {
         x.iter().zip(y).map(|(a, b)| a + coeff * b).collect()
     }
     fn rec(a: &[f64], b: &[f64], k: usize) -> Vec<f64> {
-        if k * k <= SEQ_CUTOFF.min(64 * 64) || k <= 8 {
-            return naive_bi(a, b, k);
+        if k <= STRASSEN_LEAF {
+            return strassen_leaf(a, b, k);
         }
         let h = k / 2;
         let q = h * h;
@@ -251,65 +266,180 @@ pub fn par_strassen_bi(a: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     rec(a, b, n)
 }
 
-/// Six-step FFT with parallel row FFTs (any power-of-two length).
+/// Sub-FFTs of at most this many points run as an in-place iterative
+/// radix-2 transform instead of another six-step level.
+const FFT_LEAF: usize = 64;
+
+/// Side of the square tiles the FFT's transposes move (16×16 `Cx` is
+/// 4 KiB a side).
+const FFT_TILE: usize = 16;
+
+/// `w[k] = ω_n^k = e^{-2πik/n}` for `k < n`, filled in parallel. Only
+/// the first quarter calls `cis`; the other three are it rotated by
+/// `-i`, `-1` and `i`, which is exact.
+fn fft_table(n: usize) -> Vec<Cx> {
+    fn fill(q: [&mut [Cx]; 4], k0: usize, n: usize) {
+        let len = q[0].len();
+        if len > SEQ_CUTOFF {
+            let [a, b, c, d] = q.map(|s| s.split_at_mut(len / 2));
+            pjoin(
+                || fill([a.0, b.0, c.0, d.0], k0, n),
+                || fill([a.1, b.1, c.1, d.1], k0 + len / 2, n),
+            );
+            return;
+        }
+        let [a, b, c, d] = q;
+        for (k, (((a, b), c), d)) in a.iter_mut().zip(b).zip(c).zip(d).enumerate() {
+            let v = Cx::cis(-std::f64::consts::TAU * (k0 + k) as f64 / n as f64);
+            (*a, *b, *c, *d) = (
+                v,
+                Cx::new(v.im, -v.re),
+                Cx::new(-v.re, -v.im),
+                Cx::new(-v.im, v.re),
+            );
+        }
+    }
+    if n < 4 {
+        return [Cx::new(1.0, 0.0), Cx::new(-1.0, 0.0)][..n].to_vec();
+    }
+    let mut w = vec![Cx::default(); n];
+    let (a, rest) = w.split_at_mut(n / 4);
+    let (b, rest) = rest.split_at_mut(n / 4);
+    let (c, d) = rest.split_at_mut(n / 4);
+    fill([a, b, c, d], 0, n);
+    w
+}
+
+/// In-place iterative radix-2 FFT of `x`, reading `ω_m^k` (`m =
+/// x.len()`) as `w[k · stride]`.
+fn fft_leaf(x: &mut [Cx], w: &[Cx], stride: usize) {
+    let n = x.len();
+    if n < 2 {
+        return;
+    }
+    let shift = usize::BITS - n.trailing_zeros();
+    for i in 0..n {
+        let j = i.reverse_bits() >> shift;
+        if i < j {
+            x.swap(i, j);
+        }
+    }
+    let mut half = 1;
+    while half < n {
+        let step = stride * (n / (2 * half));
+        for blk in x.chunks_exact_mut(2 * half) {
+            let (lo, hi) = blk.split_at_mut(half);
+            for (k, (u, v)) in lo.iter_mut().zip(hi).enumerate() {
+                let t = *v * w[k * step];
+                (*u, *v) = (*u + t, *u - t);
+            }
+        }
+        half *= 2;
+    }
+}
+
+/// Apply `f` to each pair of matching `row`-long rows of `a` and `b`,
+/// forking over rows while there are more than the cutoff's worth.
+fn par_rows<F>(a: &mut [Cx], b: &mut [Cx], row: usize, f: &F)
+where
+    F: Fn(&mut [Cx], &mut [Cx]) + Sync,
+{
+    let rows = a.len() / row;
+    if a.len() > SEQ_CUTOFF && rows > 1 {
+        let mid = rows / 2 * row;
+        let (a0, a1) = a.split_at_mut(mid);
+        let (b0, b1) = b.split_at_mut(mid);
+        pjoin(|| par_rows(a0, b0, row, f), || par_rows(a1, b1, row, f));
+        return;
+    }
+    for (ra, rb) in a.chunks_exact_mut(row).zip(b.chunks_exact_mut(row)) {
+        f(ra, rb);
+    }
+}
+
+/// `dst[c][r] = f(r, c, src[r][c])` for the row-major `rows×cols` `src`
+/// and the `cols×rows` `dst`, moved in `FFT_TILE`-sided tiles and forked
+/// over destination rows above the cutoff.
+fn transpose<F>(src: &[Cx], dst: &mut [Cx], rows: usize, f: &F)
+where
+    F: Fn(usize, usize, Cx) -> Cx + Sync,
+{
+    /// `dst` holds destination rows `c0..`, i.e. source columns `c0..`.
+    fn rec<F>(src: &[Cx], dst: &mut [Cx], rows: usize, c0: usize, f: &F)
+    where
+        F: Fn(usize, usize, Cx) -> Cx + Sync,
+    {
+        let dst_rows = dst.len() / rows;
+        if dst.len() > SEQ_CUTOFF && dst_rows > 1 {
+            let h = dst_rows / 2;
+            let (d0, d1) = dst.split_at_mut(h * rows);
+            pjoin(
+                || rec(src, d0, rows, c0, f),
+                || rec(src, d1, rows, c0 + h, f),
+            );
+            return;
+        }
+        let cols = src.len() / rows;
+        for cb in (0..dst_rows).step_by(FFT_TILE) {
+            for rb in (0..rows).step_by(FFT_TILE) {
+                let re = (rb + FFT_TILE).min(rows);
+                for c in cb..(cb + FFT_TILE).min(dst_rows) {
+                    let col = c0 + c;
+                    for (r, d) in (rb..re).zip(&mut dst[c * rows + rb..c * rows + re]) {
+                        *d = f(r, col, src[r * cols + col]);
+                    }
+                }
+            }
+        }
+    }
+    rec(src, dst, rows, 0, f);
+}
+
+/// One level of [`par_fft`]'s six-step recursion: writes the DFT of `x`
+/// into `s` and leaves `x` clobbered. `ω_m^k` (`m = x.len()`) is
+/// `w[k · stride]`.
+fn fft_into(x: &mut [Cx], s: &mut [Cx], w: &[Cx], stride: usize) {
+    let n = x.len();
+    if n <= FFT_LEAF {
+        s.copy_from_slice(x);
+        fft_leaf(s, w, stride);
+        return;
+    }
+    let k1 = 1usize << n.trailing_zeros().div_ceil(2);
+    let k2 = n / k1;
+    // 1. x (k1×k2) -> s (k2×k1)
+    transpose(x, s, k1, &|_, _, v| v);
+    // 2. length-k1 FFTs of the rows of s, into the matching rows of x
+    par_rows(s, x, k1, &|s, x| fft_into(s, x, w, stride * k2));
+    // 3+4. x (k2×k1) -> s (k1×k2), twiddled by ω_n^{j2·f1}
+    transpose(x, s, k2, &|j2, f1, v| v * w[j2 * f1 * stride]);
+    // 5. length-k2 FFTs of the rows of s, into the matching rows of x
+    par_rows(s, x, k2, &|s, x| fft_into(s, x, w, stride * k1));
+    // 6. x (k1×k2) -> s (k2×k1)
+    transpose(x, s, k1, &|_, _, v| v);
+}
+
+/// Six-step FFT (any power-of-two length) with forked row FFTs.
+///
+/// One table of `ω_n^k` (`k < n`) is built per call, in parallel, and a
+/// size-`m` sub-FFT reads it with stride `n/m`, so no twiddle is computed
+/// inside the recursion. One scratch buffer of `n` serves the whole
+/// recursion: each level alternates between its window of the input and
+/// the matching window of the scratch (transpose into the scratch, row
+/// FFTs back into the input's rows, twiddled transpose into the scratch,
+/// row FFTs back, final transpose into the scratch), and the top level
+/// copies the result back. The twiddle multiply rides on the middle
+/// transpose, and every transpose is tiled and forked over destination
+/// rows above the cutoff. Sub-FFTs of at most `FFT_LEAF` points are
+/// iterative radix-2 transforms in place. A call makes two large
+/// allocations, the table and the scratch, whatever `n` is.
 pub fn par_fft(x: &mut [Cx]) {
     let n = x.len();
     assert!(n.is_power_of_two());
-    fn fft_rec(x: &mut [Cx]) {
-        let n = x.len();
-        if n == 1 {
-            return;
-        }
-        if n == 2 {
-            let (a, b) = (x[0], x[1]);
-            x[0] = a + b;
-            x[1] = a - b;
-            return;
-        }
-        let m = n.trailing_zeros();
-        let k1 = 1usize << m.div_ceil(2);
-        let k2 = n / k1;
-        let mut t = vec![Cx::default(); n];
-        // 1. transpose k1×k2 -> t (k2×k1)
-        for j1 in 0..k1 {
-            for j2 in 0..k2 {
-                t[j2 * k1 + j1] = x[j1 * k2 + j2];
-            }
-        }
-        // 2. FFT rows of t
-        if n > SEQ_CUTOFF {
-            for_each_chunk_par(&mut t, k1, &fft_rec);
-        } else {
-            t.chunks_mut(k1).for_each(fft_rec);
-        }
-        // 3. twiddle
-        for j2 in 0..k2 {
-            for f1 in 0..k1 {
-                let theta = -2.0 * std::f64::consts::PI * (j2 as f64) * (f1 as f64) / n as f64;
-                t[j2 * k1 + f1] = t[j2 * k1 + f1] * Cx::cis(theta);
-            }
-        }
-        // 4. transpose back
-        for j2 in 0..k2 {
-            for f1 in 0..k1 {
-                x[f1 * k2 + j2] = t[j2 * k1 + f1];
-            }
-        }
-        // 5. FFT rows of x
-        if n > SEQ_CUTOFF {
-            for_each_chunk_par(x, k2, &fft_rec);
-        } else {
-            x.chunks_mut(k2).for_each(fft_rec);
-        }
-        // 6. final transpose
-        for f1 in 0..k1 {
-            for f2 in 0..k2 {
-                t[f2 * k1 + f1] = x[f1 * k2 + f2];
-            }
-        }
-        x.copy_from_slice(&t);
-    }
-    fft_rec(x);
+    let w = fft_table(n);
+    let mut s = vec![Cx::default(); n];
+    fft_into(x, &mut s, &w, 1);
+    par_rows(&mut s, x, SEQ_CUTOFF.min(n), &|s, x| x.copy_from_slice(s));
 }
 
 /// Parallel mergesort over `(key, payload)` pairs.
@@ -1188,25 +1318,88 @@ mod tests {
         }
     }
 
-    #[test]
-    fn par_strassen_matches() {
-        let n = 32;
-        let a = gen::random_matrix(n, 3);
-        let b = gen::random_matrix(n, 4);
-        let mut abi = vec![0.0; n * n];
-        let mut bbi = vec![0.0; n * n];
+    fn to_bi(rm: &[f64], n: usize) -> Vec<f64> {
+        let mut bi = vec![0.0; n * n];
         for r in 0..n {
             for c in 0..n {
-                abi[morton(r as u64, c as u64) as usize] = a[r * n + c];
-                bbi[morton(r as u64, c as u64) as usize] = b[r * n + c];
+                bi[morton(r as u64, c as u64) as usize] = rm[r * n + c];
             }
         }
-        let cbi = par_strassen_bi(&abi, &bbi, n);
-        let want = oracle::matmul_rm(&a, &b, n);
-        for r in 0..n {
-            for c in 0..n {
-                let g = cbi[morton(r as u64, c as u64) as usize];
-                assert!((g - want[r * n + c]).abs() < 1e-9);
+        bi
+    }
+
+    /// Every pool shape the kernels are checked in: 2 and 3 workers,
+    /// under PWS and RWS.
+    fn pool_configs() -> Vec<hbp_sched::native::NativeConfig> {
+        let mut cfgs = Vec::new();
+        for policy in [Policy::Pws, Policy::Rws { seed: 5 }] {
+            for workers in [2, 3] {
+                cfgs.push(hbp_sched::native::NativeConfig {
+                    workers,
+                    seed: 17,
+                    policy,
+                    ..Default::default()
+                });
+            }
+        }
+        cfgs
+    }
+
+    /// The leaf the row-major gather replaced: a triple loop indexing
+    /// the BI blocks through `morton` on every multiply-add.
+    fn naive_bi(a: &[f64], b: &[f64], k: usize) -> Vec<f64> {
+        let mut c = vec![0.0; k * k];
+        for i in 0..k {
+            for l in 0..k {
+                let x = a[morton(i as u64, l as u64) as usize];
+                for j in 0..k {
+                    c[morton(i as u64, j as u64) as usize] +=
+                        x * b[morton(l as u64, j as u64) as usize];
+                }
+            }
+        }
+        c
+    }
+
+    #[test]
+    fn strassen_leaf_is_bit_identical_to_the_morton_triple_loop() {
+        let n = STRASSEN_LEAF;
+        let a = to_bi(&gen::random_matrix(n, 7), n);
+        let b = to_bi(&gen::random_matrix(n, 8), n);
+        let want: Vec<u64> = naive_bi(&a, &b, n).iter().map(|v| v.to_bits()).collect();
+        let got: Vec<u64> = par_strassen_bi(&a, &b, n)
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn par_strassen_matches() {
+        // n > STRASSEN_LEAF reaches the seven products and the quadrant sums.
+        for n in [1usize, 2, 8, 32, 64, 128, 256] {
+            let a = gen::random_matrix(n, 30 + n as u64);
+            let b = gen::random_matrix(n, 31 + n as u64);
+            let want = oracle::matmul_rm(&a, &b, n);
+            let (abi, bbi) = (to_bi(&a, n), to_bi(&b, n));
+            let check = |cbi: &[f64], how: &str| {
+                for r in 0..n {
+                    for c in 0..n {
+                        let g = cbi[morton(r as u64, c as u64) as usize];
+                        assert!(
+                            (g - want[r * n + c]).abs() <= 1e-12 * n as f64,
+                            "n={n} ({r},{c}) {how}: {g} vs {}",
+                            want[r * n + c]
+                        );
+                    }
+                }
+            };
+            check(&par_strassen_bi(&abi, &bbi, n), "outside a pool");
+            for cfg in pool_configs() {
+                let how = format!("{:?} workers={}", cfg.policy, cfg.workers);
+                let (got, _) =
+                    hbp_sched::native::NativePool::run(cfg, || par_strassen_bi(&abi, &bbi, n));
+                check(&got, &how);
             }
         }
     }
@@ -1245,6 +1438,60 @@ mod tests {
                     && (y[i].im - want[i].im).abs() < 1e-5 * n as f64,
                 "i={i}"
             );
+        }
+    }
+
+    #[test]
+    fn par_fft_is_the_identity_at_one_point_and_a_butterfly_at_two() {
+        let mut one = [Cx::new(0.5, -2.0)];
+        par_fft(&mut one);
+        assert_eq!(one, [Cx::new(0.5, -2.0)]);
+        let mut two = [Cx::new(1.0, 2.0), Cx::new(3.0, -1.0)];
+        par_fft(&mut two);
+        assert_eq!(two, [Cx::new(4.0, 1.0), Cx::new(-2.0, 3.0)]);
+    }
+
+    /// `X[k]` by direct summation, reducing `j·k` mod `n` first so the
+    /// angle stays exact.
+    fn dft_bin(x: &[Cx], k: usize) -> Cx {
+        let n = x.len();
+        x.iter().enumerate().fold(Cx::default(), |acc, (j, &v)| {
+            let theta = -std::f64::consts::TAU * ((j * k) % n) as f64 / n as f64;
+            acc + v * Cx::cis(theta)
+        })
+    }
+
+    #[test]
+    fn par_fft_matches_sampled_bins_at_benchmark_scale_inside_native_pool() {
+        // 2^14 and 2^16 recurse through two six-step levels, so the
+        // sub-levels read the table with strides above one.
+        for n in [1usize << 14, 1 << 16] {
+            let x: Vec<Cx> = gen::random_u64s(2 * n, 1 << 20, n as u64)
+                .chunks(2)
+                .map(|w| Cx::new(w[0] as f64 / 1e6, w[1] as f64 / 1e6))
+                .collect();
+            let tol = 1e-9 * x.iter().map(|v| v.abs()).sum::<f64>();
+            let bins: Vec<(usize, Cx)> = [0, 1, 2, 3, n / 4, n / 2 - 1, n / 2, n - 1]
+                .into_iter()
+                .chain((0..8u64).map(|i| gen::random_u64s(1, n as u64, i)[0] as usize))
+                .map(|k| (k, dft_bin(&x, k)))
+                .collect();
+            for cfg in pool_configs() {
+                let how = format!("n={n} {:?} workers={}", cfg.policy, cfg.workers);
+                let mut y = x.clone();
+                let (y, report) = hbp_sched::native::NativePool::run(cfg, move || {
+                    par_fft(&mut y);
+                    y
+                });
+                assert!(report.work > 1, "{how}: the FFT forked tasks on the pool");
+                for &(k, want) in &bins {
+                    assert!(
+                        (y[k] - want).abs() <= tol,
+                        "{how} bin {k}: {:?} vs {want:?}",
+                        y[k]
+                    );
+                }
+            }
         }
     }
 
@@ -1359,25 +1606,18 @@ mod tests {
     #[test]
     fn par_list_rank_matches_inside_native_pool() {
         let cases = list_rank_cases();
-        for policy in [Policy::Pws, Policy::Rws { seed: 5 }] {
-            for workers in [2, 3] {
-                let cfg = hbp_sched::native::NativeConfig {
-                    workers,
-                    seed: 17,
-                    policy,
-                    ..Default::default()
-                };
-                let (got, report) = hbp_sched::native::NativePool::run(cfg, || {
-                    cases
-                        .iter()
-                        .map(|(_, succ, _)| par_list_rank(succ))
-                        .collect::<Vec<_>>()
-                });
-                for ((name, _, want), got) in cases.iter().zip(got) {
-                    assert_eq!(got, *want, "{name} {policy:?} workers={workers}");
-                }
-                assert!(report.work > 1, "list ranking forked tasks on the pool");
+        for cfg in pool_configs() {
+            let how = format!("{:?} workers={}", cfg.policy, cfg.workers);
+            let (got, report) = hbp_sched::native::NativePool::run(cfg, || {
+                cases
+                    .iter()
+                    .map(|(_, succ, _)| par_list_rank(succ))
+                    .collect::<Vec<_>>()
+            });
+            for ((name, _, want), got) in cases.iter().zip(got) {
+                assert_eq!(got, *want, "{name} {how}");
             }
+            assert!(report.work > 1, "list ranking forked tasks on the pool");
         }
     }
 

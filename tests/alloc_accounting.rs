@@ -1,5 +1,5 @@
-//! Allocation-accounting regression tests for the native SPMS and
-//! list-ranking hot paths.
+//! Allocation-accounting regression tests for the native SPMS,
+//! list-ranking and FFT hot paths.
 //!
 //! PR 7 replaced per-bucket scratch `Vec`s (and `sort_unstable`'s hidden
 //! per-call temp buffer) with one ping-pong arena sized by `arena_len`,
@@ -21,6 +21,10 @@
 //! List ranking gets the same treatment: its sublist ranker allocates a
 //! fixed handful of buffers whatever `n` is, where pointer jumping made
 //! two fresh arrays per round, 2·⌈log₂ n⌉ + 2 in all.
+//!
+//! So does the FFT: one twiddle table and one scratch buffer serve its
+//! whole six-step recursion, where a fresh buffer per sub-FFT made
+//! hundreds of large allocations at n = 2^16.
 //!
 //! The counter is global, so the tests take turns: each holds `SERIAL`
 //! for its whole body.
@@ -134,6 +138,41 @@ fn par_list_rank_makes_the_same_few_large_allocations_at_any_n() {
     assert!(
         (1..=4).contains(&counts[0]),
         "par_list_rank made {} large allocations; expected a fixed handful",
+        counts[0]
+    );
+}
+
+#[test]
+fn par_fft_makes_the_same_few_large_allocations_at_any_n() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let mut counts = Vec::new();
+    for n in [1 << 14, 1 << 16] {
+        let x: Vec<hbp_core::model::Cx> = (0..n)
+            .map(|i| hbp_core::model::Cx::new((i as f64).sin(), (i as f64 * 0.3).cos()))
+            .collect();
+        let mut y = x.clone();
+        let ((), large) = count_large(|| hbp_core::algos::par::par_fft(&mut y));
+        // Bin 1 by direct summation: the transform really ran.
+        let want = x
+            .iter()
+            .enumerate()
+            .fold(hbp_core::model::Cx::default(), |acc, (j, &v)| {
+                acc + v * hbp_core::model::Cx::cis(-std::f64::consts::TAU * j as f64 / n as f64)
+            });
+        assert!(
+            (y[1] - want).abs() < 1e-6,
+            "bin 1 at n = {n} before counting anything"
+        );
+        counts.push(large);
+    }
+    // The twiddle table and the scratch buffer.
+    assert_eq!(
+        counts[0], counts[1],
+        "par_fft's large (>= {LARGE} B) allocations grow with n: {counts:?}"
+    );
+    assert!(
+        (1..=3).contains(&counts[0]),
+        "par_fft made {} large allocations; expected the table and one scratch buffer",
         counts[0]
     );
 }
